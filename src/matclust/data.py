@@ -2,7 +2,7 @@
 
 Input CSV: UTF-8, comma-separated, one header row, numeric attribute columns,
 optional trailing ``class`` label column. Scientific notation is accepted;
-thousands separators are not.
+thousands separators and non-finite cells (``nan``, ``inf``) are not.
 
 Floats are serialized with 17 significant digits so every save/load
 round-trip is exact.
@@ -86,6 +86,7 @@ def load_csv(path, label_column: str = "class") -> Dataset:
             raise ValueError(f"{p}: no attribute columns in header")
 
         rows: list[list[float]] = []
+        linenos: list[int] = []
         labels: list[str] = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
@@ -101,13 +102,19 @@ def load_csv(path, label_column: str = "class") -> Dataset:
                 raise ValueError(
                     f"{p}: row {lineno} has a non-numeric attribute cell"
                 ) from None
+            linenos.append(lineno)
             if has_labels:
                 labels.append(cells[-1])
 
     if not rows:
         raise ValueError(f"{p}: no data rows")
+    points = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{p}: row {bad} has a non-finite attribute cell (nan or inf)")
     return Dataset(
-        points=np.asarray(rows, dtype=np.float64),
+        points=points,
         labels=tuple(labels) if has_labels else None,
         attribute_names=attr_names,
         provenance=str(p),

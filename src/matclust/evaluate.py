@@ -89,27 +89,21 @@ class EvaluationReport:
         return buf.getvalue()
 
 
-def _member_distances(dataset, model: ClusterModel) -> np.ndarray:
-    data = np.asarray(dataset, dtype=np.float64)
-    d = pairwise_distances(model.metric, data, model.centroids)
-    return d[np.arange(data.shape[0]), model.assignments]
-
-
 def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.ndarray:
     """Boolean flag per point; True marks a point excluded as an outlier."""
     policy.validate()
-    n = np.asarray(dataset).shape[0]
-    flags = np.zeros(n, dtype=bool)
+    data = np.asarray(dataset, dtype=np.float64)
+    flags = np.zeros(data.shape[0], dtype=bool)
     if policy.kind == POLICY_NONE:
         return flags
 
-    dists = _member_distances(dataset, model)
     labels = np.asarray(model.assignments)
     for j in range(model.centroids.shape[0]):
         members = labels == j
         if not members.any():
             continue
-        dj = dists[members]
+        # each point's distance to its own centroid only: n evaluations in all
+        dj = pairwise_distances(model.metric, data[members], model.centroids[j : j + 1])[:, 0]
         if policy.kind == POLICY_SIGMA:
             cutoff = dj.mean() + policy.c * dj.std()
         else:

@@ -14,6 +14,7 @@ always produces a bitwise-identical model.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,8 @@ class ClusterModel:
 
 
 def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
+    if isinstance(config.k, bool) or not isinstance(config.k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {config.k!r}")
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
     if config.k > data.shape[0]:
@@ -109,10 +112,15 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
         n = data.shape[0]
         chosen = np.empty(config.k, dtype=np.intp)
         chosen[0] = rng.integers(0, n)
+        # distance from each point to its nearest chosen centroid so far;
+        # folding in one new centroid per step gives the same minimum as
+        # recomputing all of them
+        nearest = np.full(n, np.inf)
         for i in range(1, config.k):
-            d = pairwise_distances(config.metric, data, data[chosen[:i]])
+            d = pairwise_distances(config.metric, data, data[chosen[i - 1 : i]])
+            nearest = np.minimum(nearest, d[:, 0])
             # D^2 weighting under the configured metric
-            weights = np.min(d, axis=1) ** 2
+            weights = nearest**2
             total = weights.sum()
             if total > 0:
                 chosen[i] = rng.choice(n, p=weights / total)
@@ -212,13 +220,24 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
             reason = CENTROID_SHIFT
             break
 
+    if reason != MAX_ITER:
+        # A run capped by max_iter may stop right after a reseed; a converged
+        # one must not leave a cluster empty.
+        empty = np.flatnonzero(np.bincount(labels, minlength=config.k) == 0)
+        if empty.size:
+            distinct = np.unique(data, axis=0).shape[0]
+            raise ValueError(
+                f"clusters {empty.tolist()} are empty at convergence: "
+                f"the data has {distinct} distinct points for k = {config.k}"
+            )
+
     return ClusterModel(
         centroids=centroids,
         assignments=labels,
         iterations_run=iterations,
         converged=reason != MAX_ITER,
         converged_reason=reason,
-        final_sse=sse(data, centroids, labels),
+        final_sse=history[-1],
         metric=config.metric,
         seed=config.seed,
         sse_per_iter=tuple(history),

@@ -25,6 +25,11 @@ METRIC_KINDS = (EUCLIDEAN, SQEUCLIDEAN, CITYBLOCK, CHEBYSHEV, MINKOWSKI, DSD)
 
 _PARAMETRIC = frozenset({MINKOWSKI, DSD})
 
+# pairwise_distances works through the points in row blocks whose
+# rows x centers x dimension difference array takes about this many bytes,
+# so its memory does not grow with n.
+_BLOCK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class DistanceSpec:
@@ -120,7 +125,8 @@ def distance(spec: DistanceSpec, x, y) -> float:
 def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
     """Distance matrix: entry (i, j) is distance(spec, points[i], centers[j]).
 
-    Entries are bitwise identical to the scalar op applied entrywise.
+    Entries are bitwise identical to the scalar op applied entrywise: each
+    is reduced on its own, whichever row block it falls in.
     """
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
@@ -135,4 +141,9 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
         )
     if pts.shape[0] == 0:
         return np.zeros((0, ctr.shape[0]))
-    return _reduce(spec, pts[:, None, :] - ctr[None, :, :])
+    out = np.empty((pts.shape[0], ctr.shape[0]))
+    step = max(1, _BLOCK_BYTES // max(1, ctr.nbytes))
+    for start in range(0, pts.shape[0], step):
+        block = pts[start : start + step]
+        out[start : start + step] = _reduce(spec, block[:, None, :] - ctr[None, :, :])
+    return out

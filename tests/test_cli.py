@@ -65,6 +65,15 @@ class TestFit:
         assert "above 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_cell_exits_nonzero_without_outputs(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("a,b\n0,1\n1,nan\n2,3\n4,5\n")
+        out = tmp_path / "run"
+        rc = main(["fit", "-i", str(src), "-o", str(out), "--k", "2"])
+        assert rc == 2
+        assert "row 3 has a non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_none_gives_full_accuracy(self, dataset_csv, tmp_path):
         out = tmp_path / "run"
         rc = main(

@@ -66,6 +66,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(f)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        # the blank line is skipped but still counts toward the row number
+        f.write_text(f"a,b\n1,2\n\n3,{cell}\n5,nan\n")
+        with pytest.raises(ValueError, match="row 4 has a non-finite"):
+            load_csv(f)
+
 
 class TestRoundTrip:
     def test_dataset_round_trip_exact(self, tmp_path):

@@ -13,9 +13,12 @@ from matclust.evaluate import (
     outlier_pct,
 )
 from matclust.kmeans import ClusteringConfig, fit
-from matclust.metrics import DistanceSpec
+from matclust.metrics import METRIC_KINDS, DistanceSpec, pairwise_distances
 
 EUCLID = DistanceSpec("euclidean")
+ALL_SPECS = [
+    DistanceSpec(kind, {"minkowski": 2.5, "dsd": 1.523}.get(kind)) for kind in METRIC_KINDS
+]
 
 
 def fitted(data, k=2, seed=0, metric=EUCLID):
@@ -102,6 +105,29 @@ class TestFlagOutliers:
             for c in (0.5, 1.0, 1.5, 2.0, 3.0)
         ]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    @pytest.mark.parametrize(
+        "policy",
+        [OutlierPolicy(kind="sigma", c=1.0), OutlierPolicy(kind="quantile", q=0.8)],
+        ids=lambda p: p.kind,
+    )
+    def test_matches_full_matrix_reference(self, spec, policy):
+        data = np.random.default_rng(29).standard_normal((150, 4))
+        model = fitted(data, k=4, metric=spec)
+        full = pairwise_distances(spec, data, model.centroids)
+        dists = full[np.arange(data.shape[0]), model.assignments]
+        expected = np.zeros(data.shape[0], dtype=bool)
+        for j in range(4):
+            members = model.assignments == j
+            dj = dists[members]
+            if policy.kind == "sigma":
+                cutoff = dj.mean() + policy.c * dj.std()
+            else:
+                cutoff = np.quantile(dj, policy.q)
+            expected[members] = dj > cutoff
+        assert expected.any()
+        assert np.array_equal(flag_outliers(data, model, policy), expected)
 
     def test_bad_parameters_rejected(self):
         data = np.random.default_rng(13).random((10, 2))

@@ -9,6 +9,7 @@ from matclust.kmeans import (
     INIT_EXPLICIT,
     INIT_KMEANS_PP,
     INIT_RANDOM,
+    MAX_ITER,
     STABLE_ASSIGNMENTS,
     ClusteringConfig,
     assign,
@@ -17,10 +18,28 @@ from matclust.kmeans import (
     sse,
     update_centroids,
 )
-from matclust.metrics import DistanceSpec
+from matclust.metrics import METRIC_KINDS, DistanceSpec, pairwise_distances
 
 EUCLID = DistanceSpec("euclidean")
 BLOBS_1D = np.array([[0.0], [1.0], [9.0], [10.0]])
+ALL_SPECS = [
+    DistanceSpec(kind, {"minkowski": 2.5, "dsd": 1.523}.get(kind)) for kind in METRIC_KINDS
+]
+
+
+def reference_kmeans_pp(data: np.ndarray, config: ClusteringConfig) -> np.ndarray:
+    """k-means++ that recomputes the distances to every chosen centroid."""
+    rng = np.random.default_rng(config.seed)
+    n = data.shape[0]
+    chosen = [int(rng.integers(0, n))]
+    for _ in range(1, config.k):
+        weights = np.min(pairwise_distances(config.metric, data, data[chosen]), axis=1) ** 2
+        total = weights.sum()
+        if total > 0:
+            chosen.append(int(rng.choice(n, p=weights / total)))
+        else:
+            chosen.append(int(rng.integers(0, n)))
+    return data[chosen]
 
 
 def brute_force_sse(data: np.ndarray, k: int) -> float:
@@ -81,6 +100,16 @@ class TestInitCentroids:
         )
         with pytest.raises(ValueError, match="shape"):
             init_centroids(BLOBS_1D, cfg)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_kmeans_pp_matches_full_recompute(self, spec):
+        rng = np.random.default_rng(19)
+        # duplicated rows give zero weights, as in the degenerate case
+        data = np.concatenate([rng.random((60, 3)), np.zeros((10, 3))])
+        for seed in range(4):
+            for k in (2, 5, 8):
+                cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+                assert np.array_equal(init_centroids(data, cfg), reference_kmeans_pp(data, cfg))
 
     def test_explicit_echoes_user_centroids(self):
         given = np.array([[0.5], [9.5]])
@@ -193,6 +222,29 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             fit(np.empty((0, 2)), ClusteringConfig(k=1, metric=EUCLID))
+
+    @pytest.mark.parametrize("k", [2.5, True, "3", np.float64(2.0)])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fit(BLOBS_1D, ClusteringConfig(k=k, metric=EUCLID))
+
+    def test_numpy_integer_k_accepted(self):
+        assert fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), metric=EUCLID)).converged
+
+    def test_converged_with_empty_cluster_rejected(self):
+        with pytest.raises(ValueError, match=r"clusters \[1, 2\] are empty.* 1 distinct points"):
+            fit(np.full((10, 2), 0.5), ClusteringConfig(k=3))
+
+    def test_max_iter_stop_may_leave_cluster_empty(self):
+        # every point is nearer 0 than 100, so cluster 1 empties and is
+        # reseeded; the cap stops the run before the reseed is assigned
+        cfg = ClusteringConfig(
+            k=2, metric=EUCLID, init=INIT_EXPLICIT,
+            initial_centroids=np.array([[0.0], [100.0]]), max_iter=1,
+        )
+        model = fit(np.array([[0.0], [1.0], [10.0]]), cfg)
+        assert model.converged_reason == MAX_ITER
+        assert model.assignments.tolist() == [0, 0, 0]
 
 
 class TestProperties:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matclust import metrics
 from matclust.metrics import (
     DSD,
     METRIC_KINDS,
@@ -153,10 +154,12 @@ class TestPairwise:
         assert m.shape == (0, 1)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
-    def test_bitwise_identical_to_scalar(self, spec):
+    def test_bitwise_identical_to_scalar(self, spec, monkeypatch):
         rng = np.random.default_rng(7)
         pts = rng.random((30, 9))
         ctr = rng.random((5, 9))
+        # 7-row blocks: the 30 rows span four full blocks and a ragged one
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * ctr.nbytes)
         m = pairwise_distances(spec, pts, ctr)
         for i in range(pts.shape[0]):
             for j in range(ctr.shape[0]):
