@@ -142,15 +142,14 @@ def _cmd_fit(args) -> int:
     policy = _policy_from_args(args)
     dataset, stats = _load_normalized(args)
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     config = ClusteringConfig(
         k=args.k, metric=spec, seed=args.seed, max_iter=args.max_iter, shift_tol=args.tol
     )
     model = fit(dataset.points, config)
     report = evaluate(dataset.points, model, policy)
 
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(model.to_json() + "\n", encoding="utf-8")
     save_report(report, out / "report.csv", "csv")
     save_report(report, out / "report.json", "json")
@@ -185,14 +184,13 @@ def _run_sweep_like(args, mode: str) -> int:
     )
     plan.validate(dataset.n_points)
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if mode == "sweep":
         result = run_p_sweep(plan, dataset.points)
     else:
         result = run_metric_comparison(plan, dataset.points)
 
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_report(result, out / "sweep.csv", "csv")
     save_report(result, out / "sweep.json", "json")
     figures = emit_figure_data(result, out)

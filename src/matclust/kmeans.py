@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import DistanceSpec, pairwise_distances, validate_spec
+from .metrics import DistanceSpec, nearest_centers, pairwise_distances, validate_spec
 
 INIT_RANDOM = "random-points"
 INIT_KMEANS_PP = "kmeans-plus-plus"
@@ -122,6 +122,11 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
             # D^2 weighting under the configured metric
             weights = nearest**2
             total = weights.sum()
+            if not np.isfinite(total):
+                raise ValueError(
+                    "k-means++ weights are not finite: the squared distances "
+                    "overflow float64; normalize the data"
+                )
             if total > 0:
                 chosen[i] = rng.choice(n, p=weights / total)
             else:
@@ -133,11 +138,7 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
 
 def assign(dataset, centroids, metric: DistanceSpec) -> np.ndarray:
     """Map each point to its nearest centroid; ties go to the lowest index."""
-    ctr = np.asarray(centroids, dtype=np.float64)
-    if ctr.ndim != 2 or ctr.shape[0] == 0:
-        raise ValueError("at least one centroid is required")
-    d = pairwise_distances(metric, dataset, ctr)
-    return np.argmin(d, axis=1)
+    return nearest_centers(metric, dataset, centroids)
 
 
 def update_centroids(
@@ -195,6 +196,10 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty 2-D array")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
     _check_config(data, config)
 
     centroids = init_centroids(data, config)
@@ -210,6 +215,8 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
             data, new_labels, config.k, prev_centroids=centroids, metric=config.metric
         )
         history.append(sse(data, new_centroids, new_labels))
+        if not np.isfinite(history[-1]):
+            raise ValueError("the SSE overflows float64; normalize the data")
         shift = float(np.max(np.abs(new_centroids - centroids)))
         stable = labels is not None and np.array_equal(new_labels, labels)
         labels, centroids = new_labels, new_centroids

@@ -74,6 +74,25 @@ class TestFit:
         assert "row 3 has a non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_fit_leaves_no_output_dir(self, tmp_path, capsys):
+        src = tmp_path / "same.csv"
+        src.write_text("a,b\n" + "0.5,0.5\n" * 10)
+        out = tmp_path / "run"
+        rc = main(["fit", "-i", str(src), "-o", str(out), "--k", "3"])
+        assert rc == 2
+        assert "empty at convergence" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_without_normalization_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        src.write_text("a,b\n" + "".join(f"{i}e200,{i % 3}e200\n" for i in range(1, 9)))
+        out = tmp_path / "run"
+        rc = main(["fit", "-i", str(src), "-o", str(out), "--k", "2", "--no-normalize"])
+        assert rc == 2
+        assert "normalize the data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_none_gives_full_accuracy(self, dataset_csv, tmp_path):
         out = tmp_path / "run"
         rc = main(
@@ -136,6 +155,16 @@ class TestCompare:
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 6 * 2
         assert (out / "fig4.csv").exists() and (out / "fig5.csv").exists()
+
+    def test_failed_compare_leaves_no_output_dir(self, tmp_path, capsys):
+        src = tmp_path / "same.csv"
+        src.write_text("a,b\n" + "0.5,0.5\n" * 10)
+        out = tmp_path / "run"
+        rc = main(["compare", "-i", str(src), "-o", str(out), "--k", "3",
+                   "--instances", "10", "--jobs", "1"])
+        assert rc == 2
+        assert "empty at convergence" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_materializes_defaults(self, dataset_csv, tmp_path):
         out = tmp_path / "run"

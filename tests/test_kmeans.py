@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from matclust import kmeans
 from matclust.kmeans import (
     CENTROID_SHIFT,
     INIT_EXPLICIT,
@@ -134,6 +135,24 @@ class TestAssign:
         with pytest.raises(ValueError, match="at least one centroid"):
             assign(BLOBS_1D, np.empty((0, 1)), EUCLID)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_fit_matches_exact_argmin_fit(self, spec, monkeypatch):
+        rng = np.random.default_rng(71)
+        grid = rng.integers(0, 4, (120, 3)).astype(float)  # ties everywhere
+        for data in (grid, grid + 1e6, rng.random((200, 5))):
+            for init in (INIT_KMEANS_PP, INIT_RANDOM):
+                cfg = ClusteringConfig(k=4, metric=spec, init=init, seed=3, max_iter=20)
+                model = fit(data, cfg)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        kmeans, "nearest_centers",
+                        lambda s, p, c: np.argmin(pairwise_distances(s, p, c), axis=1),
+                    )
+                    reference = fit(data, cfg)
+                assert np.array_equal(model.centroids, reference.centroids)
+                assert np.array_equal(model.assignments, reference.assignments)
+                assert model.sse_per_iter == reference.sse_per_iter
+
 
 class TestUpdateCentroids:
     def test_pair_mean(self):
@@ -230,6 +249,24 @@ class TestFit:
 
     def test_numpy_integer_k_accepted(self):
         assert fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), metric=EUCLID)).converged
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        data = np.random.default_rng(73).random((50, 4))
+        data[7, 2] = bad
+        with pytest.raises(ValueError, match="row 7 of the dataset"):
+            fit(data, ClusteringConfig(k=3))
+
+    @pytest.mark.parametrize("init", [INIT_KMEANS_PP, INIT_RANDOM])
+    @pytest.mark.parametrize(
+        "spec", [DistanceSpec("sqeuclidean"), DistanceSpec("dsd", 1.523), DistanceSpec("cityblock")],
+        ids=str,
+    )
+    def test_overflow_rejected(self, spec, init):
+        data = np.random.default_rng(79).random((50, 4)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow.*normalize the data"):
+                fit(data, ClusteringConfig(k=3, metric=spec, init=init))
 
     def test_converged_with_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match=r"clusters \[1, 2\] are empty.* 1 distinct points"):

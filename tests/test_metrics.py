@@ -11,6 +11,7 @@ from matclust.metrics import (
     METRIC_KINDS,
     DistanceSpec,
     distance,
+    nearest_centers,
     pairwise_distances,
     validate_spec,
 )
@@ -168,6 +169,124 @@ class TestPairwise:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             pairwise_distances(DistanceSpec("euclidean"), [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
+
+
+# the squared-Euclidean family at the ends and the middle of the dsd range
+NEAREST_SPECS = ALL_SPECS + [DistanceSpec(DSD, 1.0), DistanceSpec(DSD, 3.0)]
+
+
+def exact_nearest(spec, pts, ctr):
+    return np.argmin(pairwise_distances(spec, pts, ctr), axis=1)
+
+
+@st.composite
+def assignment_problems(draw):
+    """Points and centers with exact ties, duplicates, midpoints and offsets."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    grid = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if grid:
+        pts = rng.integers(0, 4, (n, dim)).astype(np.float64)
+        ctr = rng.integers(0, 4, (k, dim)).astype(np.float64)
+    else:
+        pts = rng.random((n, dim))
+        ctr = rng.random((k, dim))
+    if draw(st.booleans()):
+        ctr = np.concatenate([ctr, ctr[:1]])
+    if k > 1 and draw(st.booleans()):
+        pts = np.concatenate([pts, (ctr[:1] + ctr[1:2]) / 2])
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    return pts + offset, ctr + offset
+
+
+class TestNearestCenters:
+    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(problem=assignment_problems())
+    def test_equals_exact_argmin(self, spec, problem):
+        pts, ctr = problem
+        assert np.array_equal(nearest_centers(spec, pts, ctr), exact_nearest(spec, pts, ctr))
+
+    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
+    def test_degenerate_cases(self, spec):
+        rng = np.random.default_rng(3)
+        a, b = rng.random((2, 4))
+        cases = [
+            # integer grid: distance ties everywhere
+            (rng.integers(0, 3, (40, 4)).astype(float), rng.integers(0, 3, (6, 4)).astype(float)),
+            # duplicated centroids, and points at the midpoint of two centroids
+            (np.concatenate([np.tile((a + b) / 2, (5, 1)), rng.random((5, 4))]),
+             np.stack([b, a, a, b])),
+            # offset: the GEMM form cancels catastrophically
+            (rng.random((30, 4)) + 1e6, rng.random((3, 4)) + 1e6),
+            (rng.random((10, 4)), rng.random((1, 4))),  # k = 1
+            (rng.random((1, 4)), rng.random((3, 4))),  # a single row
+        ]
+        for pts, ctr in cases:
+            assert np.array_equal(nearest_centers(spec, pts, ctr), exact_nearest(spec, pts, ctr))
+
+    @staticmethod
+    def exact_rows(monkeypatch, spec, pts, ctr):
+        """Rows that nearest_centers recomputes with pairwise_distances."""
+        seen = []
+
+        def spy(spec_, rows, centers):
+            seen.append(len(rows))
+            return pairwise_distances(spec_, rows, centers)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "pairwise_distances", spy)
+            labels = nearest_centers(spec, pts, ctr)
+        assert np.array_equal(labels, exact_nearest(spec, pts, ctr))
+        return sum(seen)
+
+    @pytest.mark.parametrize(
+        "spec", [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 1.523)],
+        ids=str,
+    )
+    def test_fallback_runs_only_where_the_bound_fails(self, spec, monkeypatch):
+        rng = np.random.default_rng(5)
+        ctr = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        separated = ctr[rng.integers(0, 3, 50)] + 0.01 * rng.random((50, 2))
+        assert self.exact_rows(monkeypatch, spec, separated, ctr) == 0
+        ties = np.array([[0.5, 0.0], [0.0, 0.5], [0.9, 0.0]])  # two exact ties
+        assert self.exact_rows(monkeypatch, spec, ties, ctr) == 2
+        # offset by 1e8 the rounding of the GEMM form exceeds the gaps
+        assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == 50
+
+    def test_other_kinds_take_the_exact_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        pts, ctr = rng.random((20, 3)), rng.random((4, 3))
+        for spec in (DistanceSpec("cityblock"), DistanceSpec("chebyshev"),
+                     DistanceSpec("minkowski", 2.5)):
+            assert self.exact_rows(monkeypatch, spec, pts, ctr) == 20
+
+    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
+    def test_row_blocks(self, spec, monkeypatch):
+        rng = np.random.default_rng(9)
+        pts = rng.integers(0, 3, (30, 3)).astype(float)
+        pts[::4] = rng.random((8, 3))
+        ctr = rng.integers(0, 3, (5, 3)).astype(float)
+        # 7-row blocks: the 30 rows span four full blocks and a ragged one
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * ctr.nbytes)
+        assert np.array_equal(nearest_centers(spec, pts, ctr), exact_nearest(spec, pts, ctr))
+
+    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
+    def test_non_finite_nearest_distance_rejected(self, spec):
+        ctr = np.array([[0.0, 0.0], [1.0, 1.0]])
+        pts = np.array([[0.5, 0.2], [np.nan, 0.0], [0.1, 0.1]])
+        with pytest.raises(ValueError, match="point 1 has no finite distance"):
+            nearest_centers(spec, pts, ctr)
+        huge = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+            nearest_centers(spec, huge, -huge)
+
+    def test_zero_centers_rejected(self):
+        with pytest.raises(ValueError, match="at least one centroid"):
+            nearest_centers(DistanceSpec("euclidean"), [[1.0]], np.empty((0, 1)))
 
 
 class TestAxioms:
