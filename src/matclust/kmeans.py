@@ -117,11 +117,14 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
         # recomputing all of them
         nearest = np.full(n, np.inf)
         for i in range(1, config.k):
-            d = pairwise_distances(config.metric, data, data[chosen[i - 1 : i]])
-            nearest = np.minimum(nearest, d[:, 0])
-            # D^2 weighting under the configured metric
-            weights = nearest**2
-            total = weights.sum()
+            # an overflow, or the NaN it leads to, makes the total non-finite,
+            # which is rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = pairwise_distances(config.metric, data, data[chosen[i - 1 : i]])
+                nearest = np.minimum(nearest, d[:, 0])
+                # D^2 weighting under the configured metric
+                weights = nearest**2
+                total = weights.sum()
             if not np.isfinite(total):
                 raise ValueError(
                     "k-means++ weights are not finite: the squared distances "
@@ -214,7 +217,8 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
         new_centroids = update_centroids(
             data, new_labels, config.k, prev_centroids=centroids, metric=config.metric
         )
-        history.append(sse(data, new_centroids, new_labels))
+        with np.errstate(over="ignore"):
+            history.append(sse(data, new_centroids, new_labels))
         if not np.isfinite(history[-1]):
             raise ValueError("the SSE overflows float64; normalize the data")
         shift = float(np.max(np.abs(new_centroids - centroids)))

@@ -79,19 +79,22 @@ def as_vector(values) -> np.ndarray:
 
 
 def _reduce(spec: DistanceSpec, diffs: np.ndarray) -> np.ndarray:
-    """Apply the metric's closed form along the last axis of a diff array."""
+    """Apply the metric's closed form along the last axis of a diff array.
+
+    diffs must be a temporary the caller owns: it may be overwritten.
+    """
     kind = spec.kind
     if kind == SQEUCLIDEAN:
         return np.sum(diffs * diffs, axis=-1)
     if kind == EUCLIDEAN:
         return np.sqrt(np.sum(diffs * diffs, axis=-1))
     if kind == CITYBLOCK:
-        return np.sum(np.abs(diffs), axis=-1)
+        return np.sum(np.abs(diffs, out=diffs), axis=-1)
     if kind == CHEBYSHEV:
-        return np.max(np.abs(diffs), axis=-1)
+        return np.max(np.abs(diffs, out=diffs), axis=-1)
     if kind == MINKOWSKI:
         # Scale by the per-row max so |d|^p cannot over/underflow for large p.
-        a = np.abs(diffs)
+        a = np.abs(diffs, out=diffs)
         m = np.max(a, axis=-1, keepdims=True)
         scaled = np.divide(a, m, out=np.zeros_like(a), where=m > 0)
         p = float(spec.p)
@@ -206,6 +209,10 @@ def _certified_nearest(
     return nearest, (1.0 - c) * s2 - s1 > three_a + 4.0 * _TINY
 
 
+# Overflow, and the NaN it can lead to, never passes silently here: in the
+# ranking it only sends a row to the exact kernel, and a non-finite nearest
+# distance from the exact kernel is rejected.
+@np.errstate(over="ignore", invalid="ignore")
 def nearest_centers(spec: DistanceSpec, points, centers) -> np.ndarray:
     """Index of each point's nearest center, ties to the lowest index.
 

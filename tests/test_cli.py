@@ -83,14 +83,15 @@ class TestFit:
         assert "empty at convergence" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_without_normalization_exits_2(self, tmp_path, capsys):
         src = tmp_path / "huge.csv"
         src.write_text("a,b\n" + "".join(f"{i}e200,{i % 3}e200\n" for i in range(1, 9)))
         out = tmp_path / "run"
         rc = main(["fit", "-i", str(src), "-o", str(out), "--k", "2", "--no-normalize"])
         assert rc == 2
-        assert "normalize the data" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "normalize the data" in err
         assert not out.exists()
 
     def test_policy_none_gives_full_accuracy(self, dataset_csv, tmp_path):

@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from matclust import data
 from matclust.data import (
     ClassSpec,
     Dataset,
@@ -74,6 +80,111 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 4 has a non-finite"):
             load_csv(f)
 
+    def test_crlf_line_endings(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"a,b,class\r\n1,2,metal\r\n3,4,polymer\r\n")
+        ds = load_csv(f)
+        assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels == ("metal", "polymer")
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n1,2\n\n\n3,4\n\n")
+        assert load_csv(f).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        f.write_text("a,b\n1,2\n\n\n3,x\n\n")
+        with pytest.raises(ValueError, match="row 5 has a non-numeric attribute cell"):
+            load_csv(f)
+
+    def test_whitespace_only_line_is_a_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n1,2\n   \n3,4\n")
+        with pytest.raises(ValueError, match="row 3 has 1 cells, expected 2"):
+            load_csv(f)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2,3\n4,5,6\n", "row 2 has 3 cells, expected 2"),
+            ("a,b,class\n1,2,x\n3,4,y,z\n", "row 3 has 4 cells, expected 3"),
+        ],
+    )
+    def test_extra_column_rejected(self, tmp_path, text, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(f)
+
+    @pytest.mark.parametrize("cell", ['"1,000"', "1_000", "\u0661", "1e", "", "0x10"])
+    def test_cell_outside_grammar_names_row(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        f.write_text(f"a,b,class\n1,2,x\n\n3,{cell},y\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 4 has a non-numeric attribute cell"):
+            load_csv(f)
+
+    def test_non_numeric_row_reported_before_earlier_non_finite_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n1,nan\n2,abc\n")
+        with pytest.raises(ValueError, match="row 3 has a non-numeric"):
+            load_csv(f)
+
+    def test_surrounding_whitespace_and_quotes_accepted(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('a,b,class\n 1.5 ,"\t-2e3","a ""b"", c"\n', encoding="utf-8")
+        ds = load_csv(f)
+        assert ds.points.tolist() == [[1.5, -2000.0]]
+        assert ds.labels == ('a "b", c',)
+
+    def test_header_only_file_rejected_without_warning(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,class\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(f)
+
+    def test_points_are_c_contiguous_float64(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,class\n1,2,x\n3,4,y\n")
+        points = load_csv(f).points
+        assert points.dtype == np.float64 and points.flags.c_contiguous
+
+    def test_valid_input_skips_the_row_diagnosis(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the diagnostic pass ran on valid input")
+
+        monkeypatch.setattr(data, "_first_bad_row", fail)
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,class\n1,2,x\n\n3,4,y\n")
+        assert load_csv(f).n_points == 2
+
+    def test_rejected_when_diagnosis_finds_no_row(self, tmp_path, monkeypatch):
+        # a cell pass laxer than np.loadtxt must not turn a rejection into a load
+        monkeypatch.setattr(data, "_parse_cell", float)
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n1,1_000\n")
+        with pytest.raises(ValueError, match="no single row was found at fault"):
+            load_csv(f)
+
+
+# Finite floats over the whole range, subnormals and -0.0 included, plus
+# labels with the characters CSV quoting must survive.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -2.5e-310, -0.0, 1e300, -1e-300, 1.7976931348623157e308]
+)
+_LABELS = st.text(alphabet=st.sampled_from(list('ab ,"\n\u00e9')), max_size=6)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    labels = draw(st.none() | st.lists(_LABELS, min_size=n, max_size=n).map(tuple))
+    return Dataset(
+        points=draw(hnp.arrays(np.float64, (n, d), elements=_FLOATS)),
+        labels=labels,
+        attribute_names=tuple(f"attr{i + 1}" for i in range(d)),
+    )
+
 
 class TestRoundTrip:
     def test_dataset_round_trip_exact(self, tmp_path):
@@ -89,6 +200,16 @@ class TestRoundTrip:
         assert back.n_points == ds.n_points and back.dimension == ds.dimension
         assert np.array_equal(back.points, ds.points)
         assert back.labels == ds.labels
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=_datasets())
+    def test_save_load_round_trip_bitwise(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        save_dataset_csv(ds, path)
+        back = load_csv(path)
+        assert back.points.tobytes() == ds.points.tobytes()
+        assert back.labels == ds.labels
+        assert back.attribute_names == ds.attribute_names
 
     def test_fmt_float_round_trips(self):
         for v in (0.1, 1e-300, 12345.6789, 2.0 / 3.0, 9.9e7):
