@@ -156,7 +156,8 @@ def update_centroids(
     Points are accumulated in ascending point-index order so the result is
     independent of any caller-side partitioning. An empty cluster is
     re-seeded with the point farthest (under the fit metric) from its former
-    centroid, which requires prev_centroids and metric.
+    centroid, which requires prev_centroids and metric; a ValueError asks
+    for normalized data when those distances overflow.
     """
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(assignments)
@@ -165,8 +166,13 @@ def update_centroids(
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"assignments must lie in [0, {k})")
 
-    sums = np.zeros((k, data.shape[1]))
-    np.add.at(sums, labels, data)
+    # bin label*d + column adds its points in index order from 0.0, as
+    # np.add.at does, so the sums are bitwise the same; an overflow gives inf
+    # without a warning, which the Lloyd loop's SSE check rejects
+    dim = data.shape[1]
+    cluster = labels.astype(np.intp, casting="same_kind")
+    bins = (cluster[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=data.ravel(), minlength=k * dim).reshape(k, dim)
     counts = np.bincount(labels, minlength=k)
 
     centroids = np.empty_like(sums)
@@ -178,7 +184,13 @@ def update_centroids(
                 raise ValueError(
                     f"cluster {j} is empty and no previous centroid is available"
                 )
-            d = pairwise_distances(metric, data, np.asarray(prev_centroids)[j : j + 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = pairwise_distances(metric, data, np.asarray(prev_centroids)[j : j + 1])
+            if not np.isfinite(d).all():
+                raise ValueError(
+                    f"empty cluster {j} cannot be re-seeded: the distances to "
+                    "its former centroid overflow float64; normalize the data"
+                )
             centroids[j] = data[int(np.argmax(d[:, 0]))]
     return centroids
 
@@ -190,7 +202,8 @@ def sse(dataset, centroids, assignments) -> float:
     """
     data = np.asarray(dataset, dtype=np.float64)
     resid = data - np.asarray(centroids, dtype=np.float64)[np.asarray(assignments)]
-    return float(np.sum(resid * resid))
+    resid *= resid
+    return float(np.sum(resid))
 
 
 def fit(dataset, config: ClusteringConfig) -> ClusterModel:

@@ -132,8 +132,9 @@ def _point_arrays(points, centers) -> tuple[np.ndarray, np.ndarray]:
     return pts, ctr
 
 
-def _block_rows(ctr: np.ndarray) -> int:
-    return max(1, _BLOCK_BYTES // max(1, ctr.nbytes))
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when each row takes row_bytes of scratch."""
+    return max(1, _BLOCK_BYTES // max(1, row_bytes))
 
 
 def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
@@ -144,39 +145,33 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
     """
     pts, ctr = _point_arrays(points, centers)
     out = np.empty((pts.shape[0], ctr.shape[0]))
-    step = _block_rows(ctr)
+    step = _block_rows(ctr.nbytes)
     for start in range(0, pts.shape[0], step):
         block = pts[start : start + step]
         out[start : start + step] = _reduce(spec, block[:, None, :] - ctr[None, :, :])
     return out
 
 
-# Kinds whose value is a nondecreasing function of the squared Euclidean
-# distance, so they share its argmin and can rank centers by it.
-_SQUARED_FAMILY = frozenset({EUCLIDEAN, SQEUCLIDEAN, DSD})
-
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+_MAX = float(np.finfo(np.float64).max)
 
 
-def _certified_nearest(
-    block: np.ndarray, ctr_sq: np.ndarray, ctr_minus2_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank centers by the GEMM form of the squared distance.
+# A ranking is built once per nearest_centers call from the centers and the
+# number of points. It returns (rank, step): rank maps a block of at most
+# step rows to (g, c, slack), where g[i, j] ranks center j for row i closely
+# enough that _certify proves a row's argmin from g with that c and slack.
 
-    Returns each row's argmin and a mask of the rows whose argmin is proven
-    to equal the exact kernel's; the caller recomputes the others exactly.
+
+def _squared_ranking(ctr: np.ndarray, n: int):
+    """Rank the euclidean family by the GEMM form of the squared distance.
+
+    euclidean, sqeuclidean and dsd at every p are nondecreasing functions
+    of the squared Euclidean distance, so they share its argmin.
     """
-    d = block.shape[1]
-    x_sq = np.einsum("ij,ij->i", block, block)
-    g = block @ ctr_minus2_t
-    g += x_sq[:, None]
-    g += ctr_sq
-    rows = np.arange(block.shape[0])
-    nearest = np.argmin(g, axis=1)
-    s1 = g[rows, nearest]
-    g[rows, nearest] = np.inf
-    s2 = np.min(g, axis=1)  # inf when there is one center
+    d = ctr.shape[1]
+    ctr_sq = np.einsum("ij,ij->i", ctr, ctr)
+    ctr_minus2_t = -2.0 * ctr.T
     # Why a row with (1 - c)*s2 - s1 > 3A + 4*tiny keeps its argmin a.
     # Notation: u = eps/2, gamma_n = n*u/(1 - n*u), N = |x|^2 + max_j |c_j|^2,
     # D_j the true squared distance, e_j the exact kernel's sum of squares,
@@ -202,11 +197,91 @@ def _certified_nearest(
     # plus the rounding of this test. Gradual underflow adds at most 2^-1075
     # per operation, far below the 4*tiny term, which also keeps e_b a
     # normal number. Where 3N overflows the bound is inf, so a certified
-    # row's distances are all finite; NaN fails the comparison, so rows
-    # with non-finite entries go to the exact kernel.
+    # row's distances are all finite.
     c = (d + 36) * _EPS
-    three_a = (d + 3) * _EPS * (3.0 * (x_sq + ctr_sq.max()))
-    return nearest, (1.0 - c) * s2 - s1 > three_a + 4.0 * _TINY
+
+    def rank(block: np.ndarray):
+        x_sq = np.einsum("ij,ij->i", block, block)
+        g = block @ ctr_minus2_t
+        g += x_sq[:, None]
+        g += ctr_sq
+        three_a = (d + 3) * _EPS * (3.0 * (x_sq + ctr_sq.max()))
+        return g, c, three_a + 4.0 * _TINY
+
+    return rank, _block_rows(ctr.nbytes)
+
+
+def _cityblock_ranking(ctr: np.ndarray, n: int):
+    """Rank cityblock by the exact kernel's own |x - c| terms, summed by BLAS.
+
+    The exact kernel's (rows, k, d) broadcast runs numpy inner loops only d
+    long. Here each center is subtracted from the whole block as one
+    contiguous vector against that center tiled across the rows, and each
+    row's d terms are summed by a matrix-vector product with ones.
+    """
+    k, d = ctr.shape
+    # the tiles, the difference buffer and the (k, rows) ranking together
+    # take at most _BLOCK_BYTES, and small inputs build only n rows of them
+    step = _block_rows(ctr.nbytes + 8 * (d + k))
+    rows = min(step, n)
+    tiles = np.tile(ctr, (1, rows))
+    diff = np.empty(rows * d)
+    sums = np.empty((k, rows))
+    ones = np.ones(d)
+    # Why a row with (1 - c)*s2 - s1 > 4*tiny keeps its argmin a, for
+    # c = (2d + 8)*eps. Notation as above; a_t = |fl(x_t - c_t)|, T_j the
+    # true sum of center j's a_t, e_j the exact kernel's sum and r_j = g_j
+    # this ranking's. Both paths compute the same a_t, with the same
+    # subtraction, and add the same d non-negative terms, only in different
+    # orders (a product with 1.0 is exact, with or without FMA). Any order
+    # errs by at most gamma_(d-1)*T_j, also under gradual underflow, since
+    # an addition whose result is subnormal is exact. So for b != a,
+    # e_b >= (1 - gamma)/(1 + gamma)*r_b and e_a <= (1 + gamma)/(1 - gamma)*s1,
+    # and e_b > e_a, which leaves no tie to break, once
+    # (1 - 4*gamma)*r_b > s1. The bound is relative, with no |x|^2 term,
+    # so data far from the origin certifies as well as data near it. The
+    # test's own rounding (1 - c, its product with s2 and an underflow of
+    # at most 2^-1075, covered by 4*tiny) needs about 2u more, and
+    # 4*gamma + 2u <= (2d - 1)*eps + O(eps^2), which c exceeds by 9*eps to
+    # cover the second-order terms. An r_b that overflows
+    # to inf has T_b >= MAX/(1 + gamma) or e_b = inf, so _certify may cap
+    # s2 at MAX: a certified s1 < (1 - c)*MAX still gives e_b > e_a.
+    c = (2 * d + 8) * _EPS
+
+    def rank(block: np.ndarray):
+        m = block.shape[0]
+        flat = block.reshape(-1)
+        part = diff[: m * d]
+        g = sums[:, :m]
+        for j in range(k):
+            np.subtract(flat, tiles[j, : m * d], out=part)
+            np.abs(part, out=part)
+            np.matmul(part.reshape(m, d), ones, out=g[j])
+        return g.T, c, 4.0 * _TINY
+
+    return rank, step
+
+
+_RANKINGS = {
+    EUCLIDEAN: _squared_ranking,
+    SQEUCLIDEAN: _squared_ranking,
+    DSD: _squared_ranking,
+    CITYBLOCK: _cityblock_ranking,
+}
+
+
+def _certify(g: np.ndarray, c: float, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmin of g, and a mask of the rows where it is proven
+    to equal the exact kernel's: (1 - c)*s2 - s1 > slack for the two
+    smallest values s1 <= s2. g is overwritten."""
+    rows = np.arange(g.shape[0])
+    nearest = np.argmin(g, axis=1)
+    s1 = g[rows, nearest]
+    # s2 is capped at the largest float, also when there is one center
+    g[rows, nearest] = _MAX
+    s2 = np.min(g, axis=1)
+    # NaN fails the comparison, so rows with NaN go to the exact kernel
+    return nearest, (1.0 - c) * s2 - s1 > slack
 
 
 # Overflow, and the NaN it can lead to, never passes silently here: in the
@@ -217,26 +292,28 @@ def nearest_centers(spec: DistanceSpec, points, centers) -> np.ndarray:
     """Index of each point's nearest center, ties to the lowest index.
 
     Bitwise equal to np.argmin(pairwise_distances(spec, points, centers),
-    axis=1). For the euclidean, sqeuclidean and dsd kinds each row block is
-    ranked by one matrix product, and only rows whose top-two gap is within
-    the rounding bound are recomputed exactly; other kinds are computed
-    exactly. Raises ValueError when a point's nearest distance is not finite.
+    axis=1). Each row block of the euclidean, sqeuclidean and dsd kinds is
+    ranked by one matrix product, and of cityblock by k contiguous |x - c|
+    passes and a matrix-vector row sum; only rows whose top-two gap is
+    within the rounding bound are recomputed exactly. chebyshev and
+    minkowski are computed exactly. Raises ValueError when a point's
+    nearest distance is not finite.
     """
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
         raise ValueError("at least one centroid is required")
     labels = np.empty(pts.shape[0], dtype=np.intp)
-    ranked = spec.kind in _SQUARED_FAMILY
-    if ranked:
-        ctr_sq = np.einsum("ij,ij->i", ctr, ctr)
-        ctr_minus2_t = -2.0 * ctr.T
-    step = _block_rows(ctr)
+    ranking = _RANKINGS.get(spec.kind)
+    if ranking is None:
+        rank, step = None, _block_rows(ctr.nbytes)
+    else:
+        rank, step = ranking(ctr, pts.shape[0])
     for start in range(0, pts.shape[0], step):
         block = pts[start : start + step]
         out = labels[start : start + step]
         exact = np.arange(block.shape[0])
-        if ranked:
-            out[:], certified = _certified_nearest(block, ctr_sq, ctr_minus2_t)
+        if rank is not None:
+            out[:], certified = _certify(*rank(block))
             exact = exact[~certified]
             if exact.size == 0:
                 continue

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,38 @@ class TestUpdateCentroids:
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             update_centroids(BLOBS_1D, [0, 0, 0, 2], 2)
 
+    def test_sums_bitwise_equal_add_at(self):
+        rng = np.random.default_rng(43)
+        for trial in range(200):
+            k, dim = rng.integers(1, 6), rng.integers(1, 40)
+            n = rng.integers(k, 40)
+            data = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300)
+            data[rng.random((n, dim)) < 0.1] = -0.0
+            labels = rng.integers(0, k, n)
+            labels[:k] = np.arange(k)  # no cluster is empty
+            sums = np.zeros((k, dim))
+            np.add.at(sums, labels, data)
+            expected = sums / np.bincount(labels, minlength=k)[:, None]
+            # int8 labels: label * d must not wrap
+            got = update_centroids(data, labels.astype(np.int8) if trial % 2 else labels, k)
+            assert got.tobytes() == expected.tobytes(), trial
+
+    @pytest.mark.parametrize("spec", [DistanceSpec("cityblock"), DistanceSpec("minkowski", 3.0)], ids=str)
+    def test_reseed_on_overflowing_distances_rejected(self, spec):
+        a = -0.6e308 + 1e290 * np.random.default_rng(47).random((2, 4))
+        data = np.concatenate([a, -a])
+        prev = np.stack([a[0], a[0], -a[0]])
+        # cluster 1 is empty, and the points of cluster 2 are too far from
+        # its former centroid for a finite distance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cluster 1 cannot be re-seeded.*normalize the data"):
+                update_centroids(data, [0, 0, 2, 2], 3, prev_centroids=prev, metric=spec)
+            cfg = ClusteringConfig(k=3, metric=spec, init=INIT_EXPLICIT,
+                                   initial_centroids=prev, max_iter=1)
+            with pytest.raises(ValueError, match="normalize the data"):
+                fit(data, cfg)
+
 
 class TestSse:
     def test_zero_residuals(self):
@@ -267,6 +300,17 @@ class TestFit:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="overflow.*normalize the data"):
                 fit(data, ClusteringConfig(k=3, metric=spec, init=init))
+
+    @pytest.mark.parametrize(
+        "spec", [DistanceSpec("cityblock"), DistanceSpec("chebyshev"), DistanceSpec("minkowski", 2.0)],
+        ids=str,
+    )
+    def test_centroid_sum_overflow_rejected_without_warning(self, spec):
+        data = np.random.default_rng(0).random((50, 4)) * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="SSE overflows float64; normalize the data"):
+                fit(data, ClusteringConfig(k=3, metric=spec, init=INIT_RANDOM))
 
     def test_converged_with_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match=r"clusters \[1, 2\] are empty.* 1 distinct points"):

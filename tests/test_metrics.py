@@ -244,7 +244,9 @@ class TestNearestCenters:
         return sum(seen)
 
     @pytest.mark.parametrize(
-        "spec", [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 1.523)],
+        "spec",
+        [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 1.523),
+         DistanceSpec("cityblock")],
         ids=str,
     )
     def test_fallback_runs_only_where_the_bound_fails(self, spec, monkeypatch):
@@ -254,14 +256,37 @@ class TestNearestCenters:
         assert self.exact_rows(monkeypatch, spec, separated, ctr) == 0
         ties = np.array([[0.5, 0.0], [0.0, 0.5], [0.9, 0.0]])  # two exact ties
         assert self.exact_rows(monkeypatch, spec, ties, ctr) == 2
-        # offset by 1e8 the rounding of the GEMM form exceeds the gaps
-        assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == 50
+        # offset by 1e8 the rounding of the GEMM form exceeds the gaps; the
+        # cityblock bound is relative, so the offset leaves it as it is
+        offset_rows = 0 if spec.kind == "cityblock" else 50
+        assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == offset_rows
+
+    def test_cityblock_near_ties_fall_back(self, monkeypatch):
+        spec = DistanceSpec("cityblock")
+        one_ulp = np.array([[1.0, 0.5], [np.nextafter(1.0, 2.0), 0.5], [9.0, 9.0]])
+        pts = np.array([[0.0, 0.0], [9.5, 9.5]])
+        # distances 1.5 and the next float up: one ulp apart
+        assert pairwise_distances(spec, pts[:1], one_ulp)[0, 1] == np.nextafter(1.5, 2.0)
+        assert self.exact_rows(monkeypatch, spec, pts, one_ulp) == 1
+        # equal real sums that round apart by summation order
+        order = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [2.0, 2.0, 2.0]])
+        assert self.exact_rows(monkeypatch, spec, np.zeros((1, 3)), order) == 1
+        # one center, or all but one overflowing: certified while the nearest is finite
+        rng = np.random.default_rng(11)
+        pts = rng.random((20, 4))
+        assert self.exact_rows(monkeypatch, spec, pts, pts[:1]) == 0
+        far = np.concatenate([pts[:1], np.full((2, 4), 1e308), np.full((1, 4), -1e308)])
+        with np.errstate(over="ignore"):  # the reference's far distances overflow
+            assert self.exact_rows(monkeypatch, spec, pts, far) == 0
+        # the runner-up counts as the largest float, so a nearest distance
+        # that close to overflow is recomputed
+        huge = np.array([[np.finfo(np.float64).max, 0.0]])
+        assert self.exact_rows(monkeypatch, spec, huge, np.zeros((1, 2))) == 1
 
     def test_other_kinds_take_the_exact_path(self, monkeypatch):
         rng = np.random.default_rng(7)
         pts, ctr = rng.random((20, 3)), rng.random((4, 3))
-        for spec in (DistanceSpec("cityblock"), DistanceSpec("chebyshev"),
-                     DistanceSpec("minkowski", 2.5)):
+        for spec in (DistanceSpec("chebyshev"), DistanceSpec("minkowski", 2.5)):
             assert self.exact_rows(monkeypatch, spec, pts, ctr) == 20
 
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
