@@ -8,7 +8,6 @@ Validation failures exit nonzero before any output path is touched.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,6 +18,7 @@ from .data import (
     Dataset,
     default_material_specs,
     generate_synthetic,
+    json_text,
     load_csv,
     save_dataset_csv,
     save_report,
@@ -134,6 +134,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _write_run(args, stats, files: dict[str, str], extra: dict) -> Path:
+    """Add stats.json and manifest.json to the rendered files, then create
+    the output directory and write them all; returns the directory."""
+    if stats is not None:
+        files["stats.json"] = stats.to_json()
+    files["manifest.json"] = json_text(_manifest(args, extra))
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        save_report(text, out / name)
+    return out
+
+
 def _cmd_fit(args) -> int:
     spec = DistanceSpec(args.metric, args.p)
     if spec.kind in ("minkowski", "dsd") and spec.p is None:
@@ -148,17 +161,12 @@ def _cmd_fit(args) -> int:
     model = fit(dataset.points, config)
     report = evaluate(dataset.points, model, policy)
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "model.json").write_text(model.to_json() + "\n", encoding="utf-8")
-    save_report(report, out / "report.csv", "csv")
-    save_report(report, out / "report.json", "json")
-    if stats is not None:
-        (out / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
-    write_json(
-        _manifest(args, {"p_effective": spec.p, "converged": model.converged}),
-        out / "manifest.json",
-    )
+    files = {
+        "model.json": model.to_json(),
+        "report.csv": report.to_csv(),
+        "report.json": report.to_json(),
+    }
+    _write_run(args, stats, files, {"p_effective": spec.p, "converged": model.converged})
     print(
         f"fit k={args.k} metric={spec.kind}"
         + (f" p={spec.p}" if spec.p is not None else "")
@@ -182,21 +190,14 @@ def _run_sweep_like(args, mode: str) -> int:
         shift_tol=args.tol,
         jobs=args.jobs,
     )
-    plan.validate(dataset.n_points)
-
     if mode == "sweep":
         result = run_p_sweep(plan, dataset.points)
     else:
         result = run_metric_comparison(plan, dataset.points)
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_report(result, out / "sweep.csv", "csv")
-    save_report(result, out / "sweep.json", "json")
+    files = {"sweep.csv": result.to_csv(), "sweep.json": result.to_json()}
+    out = _write_run(args, stats, files, {"rows": len(result.rows)})
     figures = emit_figure_data(result, out)
-    if stats is not None:
-        (out / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
-    write_json(_manifest(args, {"rows": len(result.rows)}), out / "manifest.json")
     print(f"{mode}: {len(result.rows)} rows -> {out / 'sweep.csv'}; figures: {', '.join(figures)}")
     return 0
 

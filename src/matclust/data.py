@@ -9,13 +9,17 @@ number, optionally signed, in plain or scientific notation (``-1.5``,
 ``inf``, or a value that overflows) are rejected, naming the file row.
 Blank lines are skipped but count toward that row number.
 
-Floats are serialized with 17 significant digits so every save/load
-round-trip is exact.
+Outputs: every CSV float is rendered by ``fmt_float`` (17 significant
+digits, so every save/load round-trip is exact) and every table by
+``csv_text``; every JSON document by ``json_text`` (compact, one trailing
+newline, ``NaN``/``Infinity`` rejected). ``save_report`` is the one function
+that writes an output file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -25,9 +29,13 @@ from pathlib import Path
 import numpy as np
 
 
+# 17 significant digits: every float64 reads back bitwise
+_FLOAT_FORMAT = "%.17g"
+
+
 def fmt_float(x: float) -> str:
     """Round-trip-exact decimal rendering (17 significant digits)."""
-    return format(float(x), ".17g")
+    return _FLOAT_FORMAT % float(x)
 
 
 @dataclass(frozen=True)
@@ -163,20 +171,20 @@ def _first_bad_row(p: Path, width: int, has_labels: bool) -> str:
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write a Dataset as CSV (attributes + optional trailing class column)."""
-    p = Path(path)
-    with p.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(dataset.attribute_names) or [
-            f"attr{i + 1}" for i in range(dataset.dimension)
-        ]
-        if dataset.labels is not None:
-            header.append("class")
-        writer.writerow(header)
-        for i in range(dataset.n_points):
-            row = [fmt_float(v) for v in dataset.points[i]]
-            if dataset.labels is not None:
-                row.append(dataset.labels[i])
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = list(dataset.attribute_names) or [
+        f"attr{i + 1}" for i in range(dataset.dimension)
+    ]
+    # one % per row renders exactly fmt_float of each cell
+    row_format = ",".join([_FLOAT_FORMAT] * dataset.dimension)
+    rows = ((row_format % tuple(row)).split(",") for row in dataset.points.tolist())
+    if dataset.labels is not None:
+        header.append("class")
+        rows = ([*cells, label] for cells, label in zip(rows, dataset.labels))
+    writer.writerow(header)
+    writer.writerows(rows)
+    save_report(buf.getvalue(), path)
 
 
 def generate_synthetic(specs, seed: int) -> Dataset:
@@ -254,40 +262,34 @@ def default_material_specs(
     return specs
 
 
-def save_report(obj, path, fmt: str) -> None:
-    """Persist a report-like object as csv or json.
+def csv_text(header, rows) -> str:
+    """Render a CSV table: floats by fmt_float, None as an empty cell,
+    anything else by str. Cells are not quoted; callers pass plain tokens."""
 
-    The object must expose to_csv() / to_json(); floats inside those
-    renderings are produced deterministically by the owning type.
-    """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}; expected csv or json")
+    def cell(x) -> str:
+        if x is None:
+            return ""
+        return fmt_float(x) if isinstance(x, float) else str(x)
+
+    lines = [",".join(header)]
+    lines += [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    """The one JSON rendering: compact, newline-terminated, no NaN/Infinity."""
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
+def save_report(text: str, path) -> None:
+    """Write one rendered output file, naming the path in any OSError."""
     p = Path(path)
-    text = obj.to_csv() if fmt == "csv" else obj.to_json()
     try:
-        p.write_text(text, encoding="utf-8")
+        p.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(f"cannot write {p}: {exc}") from exc
 
 
 def write_json(doc, path) -> None:
-    """Write a JSON document with deterministic float rendering."""
-    p = Path(path)
-
-    def _clean(x):
-        if isinstance(x, dict):
-            return {k: _clean(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [_clean(v) for v in x]
-        if isinstance(x, float):
-            return float(fmt_float(x))
-        if isinstance(x, (np.floating,)):
-            return float(fmt_float(float(x)))
-        if isinstance(x, (np.integer,)):
-            return int(x)
-        return x
-
-    try:
-        p.write_text(json.dumps(_clean(doc), indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write {p}: {exc}") from exc
+    """Write a JSON document in the json_text format."""
+    save_report(json_text(doc), path)

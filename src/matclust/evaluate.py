@@ -17,12 +17,12 @@ Cluster accuracy % and outlier % are exact complements: accuracy is
 
 from __future__ import annotations
 
-import io
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import csv_text, json_text
 from .kmeans import ClusterModel
 from .metrics import pairwise_distances
 
@@ -40,11 +40,19 @@ class OutlierPolicy:
     def validate(self) -> "OutlierPolicy":
         if self.kind not in (POLICY_NONE, POLICY_SIGMA, POLICY_QUANTILE):
             raise ValueError(f"unknown outlier policy {self.kind!r}")
+        if not (math.isfinite(self.c) and math.isfinite(self.q)):
+            raise ValueError(f"outlier c and q must be finite, got c={self.c}, q={self.q}")
         if self.kind == POLICY_SIGMA and not self.c > 0:
             raise ValueError(f"sigma policy requires c > 0, got {self.c}")
         if self.kind == POLICY_QUANTILE and not 0 < self.q <= 1:
             raise ValueError(f"quantile policy requires q in (0, 1], got {self.q}")
         return self
+
+
+def table_header(k: int) -> list[str]:
+    """Column names of the report and sweep tables for k clusters."""
+    counts = [f"c{j + 1}" for j in range(k)]
+    return ["metric", "p", "instance_size", *counts, "accuracy_pct", "outlier_pct", "seed"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class EvaluationReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "per_cluster_counts": list(self.per_cluster_counts),
                 "total": self.total,
@@ -76,17 +84,11 @@ class EvaluationReport:
 
     def to_csv(self) -> str:
         """One-row CSV in the sweep table layout."""
-        k = len(self.per_cluster_counts)
-        header = ["metric", "p", "instance_size"]
-        header += [f"c{j + 1}" for j in range(k)]
-        header += ["accuracy_pct", "outlier_pct", "seed"]
-        row = [self.metric, "" if self.p is None else repr(float(self.p)), str(self.total)]
-        row += [str(c) for c in self.per_cluster_counts]
-        row += [repr(self.cluster_accuracy_pct), repr(self.outlier_pct), str(self.seed)]
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        row = (
+            self.metric, self.p, self.total, *self.per_cluster_counts,
+            self.cluster_accuracy_pct, self.outlier_pct, self.seed,
+        )
+        return csv_text(table_header(len(self.per_cluster_counts)), [row])
 
 
 def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.ndarray:

@@ -13,12 +13,13 @@ always produces a bitwise-identical model.
 
 from __future__ import annotations
 
-import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import json_text
 from .metrics import DistanceSpec, nearest_centers, pairwise_distances, validate_spec
 
 INIT_RANDOM = "random-points"
@@ -57,10 +58,10 @@ class ClusterModel:
     sse_per_iter: tuple[float, ...] = field(default=(), repr=False)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
-                "centroids": [[float(c) for c in row] for row in self.centroids],
-                "assignments": [int(a) for a in self.assignments],
+                "centroids": self.centroids.tolist(),
+                "assignments": self.assignments.tolist(),
                 "iterations": self.iterations_run,
                 "converged": self.converged,
                 "sse": self.final_sse,
@@ -82,8 +83,8 @@ def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
         )
     if config.max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {config.max_iter}")
-    if config.shift_tol < 0:
-        raise ValueError(f"shift_tol must be >= 0, got {config.shift_tol}")
+    if not (math.isfinite(config.shift_tol) and config.shift_tol >= 0):
+        raise ValueError(f"shift_tol must be finite and >= 0, got {config.shift_tol}")
     validate_spec(config.metric)
 
 
@@ -216,7 +217,6 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
-    _check_config(data, config)
 
     centroids = init_centroids(data, config)
     labels = None

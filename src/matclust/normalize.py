@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import json_text
+
 
 @dataclass(frozen=True)
 class FeatureStats:
@@ -27,7 +29,7 @@ class FeatureStats:
         return self.min.shape[0]
 
     def to_json(self) -> str:
-        return json.dumps({"min": self.min.tolist(), "max": self.max.tolist()})
+        return json_text({"min": self.min.tolist(), "max": self.max.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureStats":

@@ -13,16 +13,15 @@ any worker count.
 
 from __future__ import annotations
 
-import io
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .data import fmt_float
-from .evaluate import OutlierPolicy, evaluate
+from .data import csv_text, json_text, save_report
+from .evaluate import OutlierPolicy, evaluate, table_header
 from .kmeans import DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec, validate_spec
 
@@ -105,8 +104,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     mode: str  # "p-sweep" or "metric-comparison"
     plan: SweepPlan
-    shuffle_seed: int
-    k: int = field(default=3)
 
     def to_csv(self) -> str:
         """Full result table; deterministic for a given (plan, dataset, seed).
@@ -114,23 +111,18 @@ class SweepResult:
         Wall-clock time varies run to run, so it lives in to_json() only and
         is deliberately left out of this byte-reproducible rendering.
         """
-        buf = io.StringIO()
-        header = ["metric", "p", "instance_size"]
-        header += [f"c{j + 1}" for j in range(self.k)]
-        header += ["accuracy_pct", "outlier_pct", "seed"]
-        buf.write(",".join(header) + "\n")
-        for r in self.rows:
-            cells = [r.metric, "" if r.p is None else fmt_float(r.p), str(r.instance_size)]
-            cells += [str(c) for c in r.per_cluster_counts]
-            cells += [fmt_float(r.accuracy_pct), fmt_float(r.outlier_pct), str(r.seed)]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        rows = [
+            (r.metric, r.p, r.instance_size, *r.per_cluster_counts,
+             r.accuracy_pct, r.outlier_pct, r.seed)
+            for r in self.rows
+        ]
+        return csv_text(table_header(self.plan.k), rows)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "mode": self.mode,
-                "shuffle_seed": self.shuffle_seed,
+                "shuffle_seed": self.plan.seed,
                 "plan": {
                     "p_values": list(self.plan.p_values),
                     "instance_sizes": list(self.plan.instance_sizes),
@@ -156,8 +148,7 @@ class SweepResult:
                     }
                     for r in self.rows
                 ],
-            },
-            indent=2,
+            }
         )
 
 
@@ -202,9 +193,7 @@ def _run_grid(data: np.ndarray, plan: SweepPlan, specs, mode: str) -> SweepResul
             rows = list(pool.map(lambda c: _run_cell(data, plan, *c), cells))
     else:
         rows = [_run_cell(data, plan, *cell) for cell in cells]
-    return SweepResult(
-        rows=tuple(rows), mode=mode, plan=plan, shuffle_seed=plan.seed, k=plan.k
-    )
+    return SweepResult(rows=tuple(rows), mode=mode, plan=plan)
 
 
 def run_p_sweep(plan: SweepPlan, points) -> SweepResult:
@@ -233,43 +222,30 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[str]:
 
     p-sweep results yield fig3.csv (p, accuracy, outlier); comparison
     results yield fig4.csv (metric, outlier) and fig5.csv (metric, accuracy).
-    Returns the paths written.
+    Every table is rendered before any file is written. Returns the paths
+    written.
     """
-    from pathlib import Path
-
     if not result.rows:
         raise ValueError("cannot emit figure data from an empty result")
-    out = Path(out_dir)
     largest = max(r.instance_size for r in result.rows)
     rows = [r for r in result.rows if r.instance_size == largest]
-    written: list[str] = []
-
-    def _write(name: str, header: str, lines: list[str]) -> None:
-        path = out / name
-        try:
-            path.write_text(header + "\n" + "".join(ln + "\n" for ln in lines), encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        written.append(str(path))
-
     if result.mode == "p-sweep":
-        _write(
-            "fig3.csv",
-            "p,accuracy_pct,outlier_pct",
-            [
-                f"{fmt_float(r.p)},{fmt_float(r.accuracy_pct)},{fmt_float(r.outlier_pct)}"
-                for r in rows
-            ],
-        )
+        tables = {
+            "fig3.csv": csv_text(
+                ["p", "accuracy_pct", "outlier_pct"],
+                [(r.p, r.accuracy_pct, r.outlier_pct) for r in rows],
+            )
+        }
     else:
-        _write(
-            "fig4.csv",
-            "metric,outlier_pct",
-            [f"{r.metric},{fmt_float(r.outlier_pct)}" for r in rows],
-        )
-        _write(
-            "fig5.csv",
-            "metric,accuracy_pct",
-            [f"{r.metric},{fmt_float(r.accuracy_pct)}" for r in rows],
-        )
+        tables = {
+            "fig4.csv": csv_text(
+                ["metric", "outlier_pct"], [(r.metric, r.outlier_pct) for r in rows]
+            ),
+            "fig5.csv": csv_text(
+                ["metric", "accuracy_pct"], [(r.metric, r.accuracy_pct) for r in rows]
+            ),
+        }
+    written = [str(Path(out_dir) / name) for name in tables]
+    for path, text in zip(written, tables.values()):
+        save_report(text, path)
     return written

@@ -173,3 +173,50 @@ class TestCompare:
         manifest = json.loads((out / "manifest.json").read_text())
         for key in ("seed", "k", "max_iter", "tol", "outlier_policy", "jobs"):
             assert key in manifest and manifest[key] is not None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestOutputs:
+    def test_every_json_file_is_strict_and_newline_terminated(self, dataset_csv, tmp_path):
+        runs = [
+            ["fit", "-o", str(tmp_path / "fit")],
+            ["fit", "--metric", "cityblock", "--outlier-policy", "quantile",
+             "-o", str(tmp_path / "fit-q")],
+            ["sweep", "--p-values", "1.5", "3", "--instances", "100", "-o", str(tmp_path / "sweep")],
+            ["compare", "--instances", "100", "--jobs", "2", "-o", str(tmp_path / "compare")],
+        ]
+        for argv in runs:
+            assert main([argv[0], "-i", str(dataset_csv), *argv[1:]]) == 0
+        files = sorted(tmp_path.rglob("*.json"))
+        names = {f.name for f in files}
+        assert names == {
+            "mat.csv.manifest.json", "model.json", "report.json", "stats.json",
+            "sweep.json", "manifest.json",
+        }
+        for f in files:
+            text = f.read_text(encoding="utf-8")
+            assert text.endswith("\n") and not text.endswith("\n\n"), f
+            json.loads(text, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--tol", "nan"],
+            ["fit", "--tol", "inf", "--outlier-c", "inf"],
+            ["fit", "--outlier-c", "inf"],
+            ["fit", "--outlier-policy", "none", "--outlier-q", "nan"],
+            ["sweep", "--tol", "nan", "--p-values", "1.5", "--instances", "100"],
+            ["compare", "--outlier-policy", "quantile", "--outlier-c", "nan",
+             "--instances", "100"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_option_exits_2_without_outputs(self, dataset_csv, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        rc = main([argv[0], "-i", str(dataset_csv), "-o", str(out), *argv[1:]])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()

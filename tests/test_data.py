@@ -10,9 +10,11 @@ from matclust import data
 from matclust.data import (
     ClassSpec,
     Dataset,
+    csv_text,
     default_material_specs,
     fmt_float,
     generate_synthetic,
+    json_text,
     load_csv,
     save_dataset_csv,
     save_report,
@@ -285,25 +287,28 @@ class TestGenerateSynthetic:
         assert spans.max() / spans.min() > 1e6
 
 
+class TestRenderers:
+    def test_csv_text_cells(self):
+        text = csv_text(["a", "b", "c"], [("x", None, 3), (1.523, 2.0, 0.1)])
+        assert text == "a,b,c\nx,,3\n1.5229999999999999,2,0.10000000000000001\n"
+
+    def test_json_text_is_compact_and_newline_terminated(self):
+        assert json_text({"a": [1, 2.5], "b": None}) == '{"a": [1, 2.5], "b": null}\n'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_json_text_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            json_text({"tol": bad})
+
+
 class TestSaveReport:
-    class Dummy:
-        def to_csv(self):
-            return "a,b\n1,2\n"
-
-        def to_json(self):
-            return '{"a": 1}'
-
     def test_csv_and_json(self, tmp_path):
-        save_report(self.Dummy(), tmp_path / "r.csv", "csv")
-        save_report(self.Dummy(), tmp_path / "r.json", "json")
-        assert (tmp_path / "r.csv").read_text() == "a,b\n1,2\n"
-        assert (tmp_path / "r.json").read_text() == '{"a": 1}'
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown format"):
-            save_report(self.Dummy(), tmp_path / "r.xml", "xml")
+        save_report("a,b\n1,2\n", tmp_path / "r.csv")
+        save_report('{"a":1}\n', tmp_path / "r.json")
+        assert (tmp_path / "r.csv").read_bytes() == b"a,b\n1,2\n"
+        assert (tmp_path / "r.json").read_bytes() == b'{"a":1}\n'
 
     def test_unwritable_path_names_path(self, tmp_path):
         target = tmp_path / "no_such_dir" / "r.csv"
         with pytest.raises(OSError, match="no_such_dir"):
-            save_report(self.Dummy(), target, "csv")
+            save_report("a\n", target)

@@ -139,6 +139,14 @@ class TestFlagOutliers:
         with pytest.raises(ValueError, match="unknown outlier policy"):
             flag_outliers(data, model, OutlierPolicy(kind="zscore"))
 
+    @pytest.mark.parametrize("kind", ["none", "sigma", "quantile"])
+    @pytest.mark.parametrize(
+        "c, q", [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (3.0, np.nan), (3.0, np.inf)]
+    )
+    def test_non_finite_c_or_q_rejected(self, kind, c, q):
+        with pytest.raises(ValueError, match="c and q must be finite"):
+            OutlierPolicy(kind=kind, c=c, q=q).validate()
+
 
 class TestEvaluate:
     def test_policy_none_fixpoint(self):

@@ -283,6 +283,11 @@ class TestFit:
     def test_numpy_integer_k_accepted(self):
         assert fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), metric=EUCLID)).converged
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_shift_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="shift_tol must be finite and >= 0"):
+            fit(BLOBS_1D, ClusteringConfig(k=2, metric=EUCLID, shift_tol=tol))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
         data = np.random.default_rng(73).random((50, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matclust.data import default_material_specs, generate_synthetic
-from matclust.evaluate import OutlierPolicy
+from matclust.evaluate import EvaluationReport, OutlierPolicy
 from matclust.metrics import DistanceSpec
 from matclust.normalize import fit_transform
 from matclust.sweep import (
@@ -12,6 +12,8 @@ from matclust.sweep import (
     DEFAULT_INSTANCE_SIZES,
     DEFAULT_P_GRID,
     SweepPlan,
+    SweepResult,
+    SweepRow,
     emit_figure_data,
     run_metric_comparison,
     run_p_sweep,
@@ -143,7 +145,7 @@ class TestFigureData:
 
     def test_empty_result_rejected(self, small_data, tmp_path):
         res = run_p_sweep(small_plan(p_values=(1.5,), instance_sizes=(60,)), small_data)
-        empty = type(res)(rows=(), mode="p-sweep", plan=res.plan, shuffle_seed=42)
+        empty = type(res)(rows=(), mode="p-sweep", plan=res.plan)
         with pytest.raises(ValueError, match="empty"):
             emit_figure_data(empty, tmp_path)
         assert not (tmp_path / "fig3.csv").exists()
@@ -160,6 +162,27 @@ class TestResultSerialization:
         res = run_p_sweep(small_plan(), small_data)
         doc = json.loads(res.to_json())
         assert doc["mode"] == "p-sweep"
+        assert doc["shuffle_seed"] == 42
         assert doc["plan"]["instance_sizes"] == [60, 120, 240]
         assert all(row["wall_ms"] >= 0 for row in doc["rows"])
         assert all("iterations" in row for row in doc["rows"])
+
+    @pytest.mark.parametrize("p", [None, 1.523, 2])
+    def test_csv_row_matches_evaluation_report(self, p):
+        acc = 99.72532862468118
+        row = SweepRow(
+            metric="dsd", p=p, instance_size=5097, per_cluster_counts=(3069, 2014),
+            accuracy_pct=acc, outlier_pct=100.0 - acc, iterations=4, wall_ms=1.5, seed=7,
+        )
+        plan = SweepPlan(k=2)
+        report = EvaluationReport(
+            per_cluster_counts=row.per_cluster_counts, total=5097, clustered=5083,
+            cluster_accuracy_pct=acc, outlier_pct=100.0 - acc, policy=plan.policy,
+            metric="dsd", p=p, seed=7,
+        )
+        text = SweepResult(rows=(row,), mode="p-sweep", plan=plan).to_csv()
+        assert report.to_csv() == text
+        p_cell = {None: "", 1.523: "1.5229999999999999", 2: "2"}[p]
+        assert text.split("\n")[1] == (
+            f"dsd,{p_cell},5097,3069,2014,99.725328624681183,0.27467137531881747,7"
+        )
