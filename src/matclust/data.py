@@ -171,20 +171,38 @@ def _first_bad_row(p: Path, width: int, has_labels: bool) -> str:
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write a Dataset as CSV (attributes + optional trailing class column)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = list(dataset.attribute_names) or [
         f"attr{i + 1}" for i in range(dataset.dimension)
     ]
-    # one % per row renders exactly fmt_float of each cell
-    row_format = ",".join([_FLOAT_FORMAT] * dataset.dimension)
-    rows = ((row_format % tuple(row)).split(",") for row in dataset.points.tolist())
     if dataset.labels is not None:
         header.append("class")
-        rows = ([*cells, label] for cells, label in zip(rows, dataset.labels))
-    writer.writerow(header)
-    writer.writerows(rows)
-    save_report(buf.getvalue(), path)
+    distinct = list(dict.fromkeys(dataset.labels or ()))
+    head, *tails = _csv_lines([header, *(("", label) for label in distinct)])
+    # one % per row renders exactly fmt_float of each cell, which csv.writer
+    # would not quote; a label's cell, with its comma and line end, is
+    # rendered once as the second cell of a row whose empty first cell
+    # csv.writer writes as nothing
+    row_format = ",".join([_FLOAT_FORMAT] * dataset.dimension)
+    if dataset.labels is None:
+        ends = ["\n"] * dataset.n_points
+    else:
+        cell = dict(zip(distinct, tails))
+        ends = [cell[label] for label in dataset.labels]
+    lines = [row_format % tuple(row) + end for row, end in zip(dataset.points.tolist(), ends)]
+    save_report(head + "".join(lines), path)
+
+
+def _csv_lines(rows) -> list[str]:
+    """Each row as one csv.writer line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    lines = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+    return lines
 
 
 def generate_synthetic(specs, seed: int) -> Dataset:

@@ -7,6 +7,16 @@ Euclidean distance (cityblock, chebyshev, general minkowski) the iteration
 is a heuristic without a monotonicity guarantee, so termination relies on
 the unchanged-assignment check and the iteration cap.
 
+k-means++ seeding keeps each point's distance to its nearest chosen
+centroid in a metrics.NearestDistances and adds one centroid per step; for
+euclidean, sqeuclidean and dsd a GEMM bound skips the points that the
+newest centroid provably does not move nearer. fit builds a per-fit
+workspace once: the row norms for seeding and assignment, the data's
+columns as contiguous rows for the centroid sums, and one residual buffer
+for the SSE. Each is an optional argument of init_centroids, assign,
+update_centroids and sse, which compute it themselves when it is not
+given, with bitwise the same result.
+
 Everything is seeded and single-threaded, so a given (dataset, config)
 always produces a bitwise-identical model.
 """
@@ -20,11 +30,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import json_text
-from .metrics import DistanceSpec, nearest_centers, pairwise_distances, validate_spec
+from .metrics import (
+    DistanceSpec,
+    NearestDistances,
+    nearest_centers,
+    pairwise_distances,
+    squared_norms,
+    validate_spec,
+)
 
 INIT_RANDOM = "random-points"
 INIT_KMEANS_PP = "kmeans-plus-plus"
 INIT_EXPLICIT = "explicit"
+_INIT_MODES = (INIT_RANDOM, INIT_KMEANS_PP, INIT_EXPLICIT)
 
 DEFAULT_SEED = 42
 
@@ -72,24 +90,37 @@ class ClusterModel:
         )
 
 
+def check_settings(k, init: str, max_iter, shift_tol) -> None:
+    """Reject a k, init mode, max_iter or shift_tol that no fit can run
+    with, whatever the data; the sweep plan checks its cells with it too."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(shift_tol) and shift_tol >= 0):
+        raise ValueError(f"shift_tol must be finite and >= 0, got {shift_tol}")
+    if init not in _INIT_MODES:
+        raise ValueError(f"unknown init mode {init!r}")
+
+
 def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
-    if isinstance(config.k, bool) or not isinstance(config.k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {config.k!r}")
-    if config.k < 1:
-        raise ValueError(f"k must be >= 1, got {config.k}")
+    check_settings(config.k, config.init, config.max_iter, config.shift_tol)
     if config.k > data.shape[0]:
         raise ValueError(
             f"k ({config.k}) exceeds dataset size ({data.shape[0]})"
         )
-    if config.max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {config.max_iter}")
-    if not (math.isfinite(config.shift_tol) and config.shift_tol >= 0):
-        raise ValueError(f"shift_tol must be finite and >= 0, got {config.shift_tol}")
     validate_spec(config.metric)
 
 
-def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
-    """Choose the k initial centroids according to config.init."""
+def init_centroids(dataset, config: ClusteringConfig, row_norms=None) -> np.ndarray:
+    """Choose the k initial centroids according to config.init.
+
+    row_norms, if given, must be metrics.squared_norms(config.metric, dataset).
+    """
     data = np.asarray(dataset, dtype=np.float64)
     _check_config(data, config)
     rng = np.random.default_rng(config.seed)
@@ -109,40 +140,36 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
         idx = rng.choice(data.shape[0], size=config.k, replace=False)
         return data[idx].copy()
 
-    if config.init == INIT_KMEANS_PP:
-        n = data.shape[0]
-        chosen = np.empty(config.k, dtype=np.intp)
-        chosen[0] = rng.integers(0, n)
-        # distance from each point to its nearest chosen centroid so far;
-        # folding in one new centroid per step gives the same minimum as
-        # recomputing all of them
-        nearest = np.full(n, np.inf)
-        for i in range(1, config.k):
-            # an overflow, or the NaN it leads to, makes the total non-finite,
-            # which is rejected below
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = pairwise_distances(config.metric, data, data[chosen[i - 1 : i]])
-                nearest = np.minimum(nearest, d[:, 0])
-                # D^2 weighting under the configured metric
-                weights = nearest**2
-                total = weights.sum()
-            if not np.isfinite(total):
-                raise ValueError(
-                    "k-means++ weights are not finite: the squared distances "
-                    "overflow float64; normalize the data"
-                )
-            if total > 0:
-                chosen[i] = rng.choice(n, p=weights / total)
-            else:
-                chosen[i] = rng.integers(0, n)
-        return data[chosen].copy()
-
-    raise ValueError(f"unknown init mode {config.init!r}")
+    # k-means++: D^2 weighting under the configured metric, by each point's
+    # distance to its nearest chosen centroid so far
+    n = data.shape[0]
+    chosen = np.empty(config.k, dtype=np.intp)
+    chosen[0] = rng.integers(0, n)
+    nearest = NearestDistances(config.metric, data, row_norms)
+    for i in range(1, config.k):
+        # an overflow, or the NaN it leads to, makes the total non-finite,
+        # which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = nearest.add(data[chosen[i - 1]]) ** 2
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise ValueError(
+                "k-means++ weights are not finite: the squared distances "
+                "overflow float64; normalize the data"
+            )
+        if total > 0:
+            chosen[i] = rng.choice(n, p=weights / total)
+        else:
+            chosen[i] = rng.integers(0, n)
+    return data[chosen].copy()
 
 
-def assign(dataset, centroids, metric: DistanceSpec) -> np.ndarray:
-    """Map each point to its nearest centroid; ties go to the lowest index."""
-    return nearest_centers(metric, dataset, centroids)
+def assign(dataset, centroids, metric: DistanceSpec, row_norms=None) -> np.ndarray:
+    """Map each point to its nearest centroid; ties go to the lowest index.
+
+    row_norms, if given, must be metrics.squared_norms(metric, dataset).
+    """
+    return nearest_centers(metric, dataset, centroids, row_norms)
 
 
 def update_centroids(
@@ -151,6 +178,7 @@ def update_centroids(
     k: int,
     prev_centroids=None,
     metric: DistanceSpec | None = None,
+    columns=None,
 ) -> np.ndarray:
     """Recompute each centroid as the mean of its assigned points.
 
@@ -158,7 +186,10 @@ def update_centroids(
     independent of any caller-side partitioning. An empty cluster is
     re-seeded with the point farthest (under the fit metric) from its former
     centroid, which requires prev_centroids and metric; a ValueError asks
-    for normalized data when those distances overflow.
+    for normalized data when those distances overflow. columns, if given,
+    must be the dataset's columns as contiguous rows,
+    np.asfortranarray(dataset).T, which a caller that updates many times
+    builds once.
     """
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(assignments)
@@ -166,15 +197,17 @@ def update_centroids(
         raise ValueError("one assignment per point is required")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"assignments must lie in [0, {k})")
+    if columns is None:
+        columns = np.asfortranarray(data).T
 
-    # bin label*d + column adds its points in index order from 0.0, as
-    # np.add.at does, so the sums are bitwise the same; an overflow gives inf
-    # without a warning, which the Lloyd loop's SSE check rejects
-    dim = data.shape[1]
+    # each bin adds its points in index order from 0.0, as np.add.at does,
+    # so the sums are bitwise the same; an overflow gives inf without a
+    # warning, which the Lloyd loop's SSE check rejects
     cluster = labels.astype(np.intp, casting="same_kind")
-    bins = (cluster[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(bins, weights=data.ravel(), minlength=k * dim).reshape(k, dim)
-    counts = np.bincount(labels, minlength=k)
+    sums = np.empty((k, data.shape[1]))
+    for t, column in enumerate(columns):
+        sums[:, t] = np.bincount(cluster, weights=column, minlength=k)
+    counts = np.bincount(cluster, minlength=k)
 
     centroids = np.empty_like(sums)
     for j in range(k):
@@ -196,13 +229,22 @@ def update_centroids(
     return centroids
 
 
-def sse(dataset, centroids, assignments) -> float:
+def sse(dataset, centroids, assignments, out=None) -> float:
     """Sum of squared Euclidean errors between points and their centroids.
 
-    Always squared Euclidean, regardless of the metric used to fit.
+    Always squared Euclidean, regardless of the metric used to fit. out, if
+    given, is a float64 array of the dataset's shape that holds the
+    residuals, so a caller that evaluates many times allocates it once.
     """
     data = np.asarray(dataset, dtype=np.float64)
-    resid = data - np.asarray(centroids, dtype=np.float64)[np.asarray(assignments)]
+    ctr = np.asarray(centroids, dtype=np.float64)
+    labels = np.asarray(assignments)
+    if labels.size and (labels.min() < 0 or labels.max() >= ctr.shape[0]):
+        raise ValueError(f"assignments must lie in [0, {ctr.shape[0]})")
+    # in range, so "clip" changes no index; it spares np.take the buffered
+    # copy that "raise" makes of out
+    resid = np.take(ctr, labels, axis=0, out=out, mode="clip")
+    np.subtract(data, resid, out=resid)
     resid *= resid
     return float(np.sum(resid))
 
@@ -218,7 +260,12 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
         row = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
 
-    centroids = init_centroids(data, config)
+    # the per-fit workspace: every quantity that depends on the data alone
+    # is computed once, and the residual buffer is allocated once
+    row_norms = squared_norms(config.metric, data)
+    centroids = init_centroids(data, config, row_norms=row_norms)
+    columns = np.asfortranarray(data).T
+    resid = np.empty_like(data)
     labels = None
     reason = MAX_ITER
     iterations = 0
@@ -226,12 +273,13 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
 
     for _ in range(config.max_iter):
         iterations += 1
-        new_labels = assign(data, centroids, config.metric)
+        new_labels = assign(data, centroids, config.metric, row_norms=row_norms)
         new_centroids = update_centroids(
-            data, new_labels, config.k, prev_centroids=centroids, metric=config.metric
+            data, new_labels, config.k, prev_centroids=centroids, metric=config.metric,
+            columns=columns,
         )
         with np.errstate(over="ignore"):
-            history.append(sse(data, new_centroids, new_labels))
+            history.append(sse(data, new_centroids, new_labels, out=resid))
         if not np.isfinite(history[-1]):
             raise ValueError("the SSE overflows float64; normalize the data")
         shift = float(np.max(np.abs(new_centroids - centroids)))

@@ -25,6 +25,10 @@ METRIC_KINDS = (EUCLIDEAN, SQEUCLIDEAN, CITYBLOCK, CHEBYSHEV, MINKOWSKI, DSD)
 
 _PARAMETRIC = frozenset({MINKOWSKI, DSD})
 
+# nondecreasing functions of the squared Euclidean distance: they share its
+# argmin, and their exact kernel is the sum of squares followed by _from_squared
+_SQUARED_FAMILY = frozenset({EUCLIDEAN, SQEUCLIDEAN, DSD})
+
 # pairwise_distances works through the points in row blocks whose
 # rows x centers x dimension difference array takes about this many bytes,
 # so its memory does not grow with n.
@@ -84,25 +88,34 @@ def _reduce(spec: DistanceSpec, diffs: np.ndarray) -> np.ndarray:
     diffs must be a temporary the caller owns: it may be overwritten.
     """
     kind = spec.kind
-    if kind == SQEUCLIDEAN:
-        return np.sum(diffs * diffs, axis=-1)
-    if kind == EUCLIDEAN:
-        return np.sqrt(np.sum(diffs * diffs, axis=-1))
+    if kind in _SQUARED_FAMILY:
+        return _from_squared(spec, np.sum(diffs * diffs, axis=-1))
     if kind == CITYBLOCK:
         return np.sum(np.abs(diffs, out=diffs), axis=-1)
     if kind == CHEBYSHEV:
         return np.max(np.abs(diffs, out=diffs), axis=-1)
     if kind == MINKOWSKI:
         # Scale by the per-row max so |d|^p cannot over/underflow for large p.
+        # Both steps work in place: a row whose max is 0 is all +0.0 already,
+        # and **= takes the same scalar-exponent path as **.
         a = np.abs(diffs, out=diffs)
         m = np.max(a, axis=-1, keepdims=True)
-        scaled = np.divide(a, m, out=np.zeros_like(a), where=m > 0)
+        np.divide(a, m, out=a, where=m > 0)
         p = float(spec.p)
-        root = np.power(np.sum(scaled**p, axis=-1), 1.0 / p)
+        a **= p
+        root = np.power(np.sum(a, axis=-1), 1.0 / p)
         return np.squeeze(m, axis=-1) * root
-    if kind == DSD:
-        return np.power(np.sum(diffs * diffs, axis=-1), float(spec.p) / 3.0)
     raise ValueError(f"unknown metric kind {kind!r}")
+
+
+def _from_squared(spec: DistanceSpec, sq: np.ndarray) -> np.ndarray:
+    """The distance of a squared-family kind from the exact kernel's sum of
+    squares."""
+    if spec.kind == EUCLIDEAN:
+        return np.sqrt(sq)
+    if spec.kind == DSD:
+        return np.power(sq, float(spec.p) / 3.0)
+    return sq
 
 
 def distance(spec: DistanceSpec, x, y) -> float:
@@ -157,13 +170,32 @@ _TINY = float(np.finfo(np.float64).tiny)
 _MAX = float(np.finfo(np.float64).max)
 
 
-# A ranking is built once per nearest_centers call from the centers and the
-# number of points. It returns (rank, step): rank maps a block of at most
-# step rows to (g, c, slack), where g[i, j] ranks center j for row i closely
-# enough that _certify proves a row's argmin from g with that c and slack.
+def squared_norms(spec: DistanceSpec, points) -> np.ndarray | None:
+    """|x|^2 of each point, which the euclidean, sqeuclidean and dsd
+    certificates use; None for the other kinds, which need none. A caller
+    that runs several of them on one dataset computes it once and passes it
+    on."""
+    if spec.kind not in _SQUARED_FAMILY:
+        return None
+    pts = np.asarray(points, dtype=np.float64)
+    return np.einsum("ij,ij->i", pts, pts)
 
 
-def _squared_ranking(ctr: np.ndarray, n: int):
+def _squared_test(d: int, pts_sq: np.ndarray, ctr_sq: float) -> tuple[float, np.ndarray]:
+    """c and the slack 3A + 4*tiny of the GEMM certificate for rows with
+    these |x|^2, against centers whose largest |c|^2 is ctr_sq; the
+    derivation is in _squared_ranking."""
+    return (d + 36) * _EPS, (d + 3) * _EPS * (3.0 * (pts_sq + ctr_sq)) + 4.0 * _TINY
+
+
+# A ranking is built once per nearest_centers call from the centers, the
+# points and their squared norms (None outside the euclidean family). It
+# returns (rank, step): rank maps the slice of at most step rows to
+# (g, c, slack), where g[i, j] ranks center j for row i closely enough that
+# _certify proves a row's argmin from g with that c and slack.
+
+
+def _squared_ranking(ctr: np.ndarray, pts: np.ndarray, pts_sq: np.ndarray):
     """Rank the euclidean family by the GEMM form of the squared distance.
 
     euclidean, sqeuclidean and dsd at every p are nondecreasing functions
@@ -198,20 +230,18 @@ def _squared_ranking(ctr: np.ndarray, n: int):
     # per operation, far below the 4*tiny term, which also keeps e_b a
     # normal number. Where 3N overflows the bound is inf, so a certified
     # row's distances are all finite.
-    c = (d + 36) * _EPS
+    c, slack = _squared_test(d, pts_sq, ctr_sq.max())
 
-    def rank(block: np.ndarray):
-        x_sq = np.einsum("ij,ij->i", block, block)
-        g = block @ ctr_minus2_t
-        g += x_sq[:, None]
+    def rank(rows: slice):
+        g = pts[rows] @ ctr_minus2_t
+        g += pts_sq[rows, None]
         g += ctr_sq
-        three_a = (d + 3) * _EPS * (3.0 * (x_sq + ctr_sq.max()))
-        return g, c, three_a + 4.0 * _TINY
+        return g, c, slack[rows]
 
     return rank, _block_rows(ctr.nbytes)
 
 
-def _cityblock_ranking(ctr: np.ndarray, n: int):
+def _cityblock_ranking(ctr: np.ndarray, pts: np.ndarray, pts_sq: None):
     """Rank cityblock by the exact kernel's own |x - c| terms, summed by BLAS.
 
     The exact kernel's (rows, k, d) broadcast runs numpy inner loops only d
@@ -223,7 +253,7 @@ def _cityblock_ranking(ctr: np.ndarray, n: int):
     # the tiles, the difference buffer and the (k, rows) ranking together
     # take at most _BLOCK_BYTES, and small inputs build only n rows of them
     step = _block_rows(ctr.nbytes + 8 * (d + k))
-    rows = min(step, n)
+    rows = min(step, pts.shape[0])
     tiles = np.tile(ctr, (1, rows))
     diff = np.empty(rows * d)
     sums = np.empty((k, rows))
@@ -248,7 +278,8 @@ def _cityblock_ranking(ctr: np.ndarray, n: int):
     # s2 at MAX: a certified s1 < (1 - c)*MAX still gives e_b > e_a.
     c = (2 * d + 8) * _EPS
 
-    def rank(block: np.ndarray):
+    def rank(block_rows: slice):
+        block = pts[block_rows]
         m = block.shape[0]
         flat = block.reshape(-1)
         part = diff[: m * d]
@@ -288,7 +319,7 @@ def _certify(g: np.ndarray, c: float, slack: float) -> tuple[np.ndarray, np.ndar
 # ranking it only sends a row to the exact kernel, and a non-finite nearest
 # distance from the exact kernel is rejected.
 @np.errstate(over="ignore", invalid="ignore")
-def nearest_centers(spec: DistanceSpec, points, centers) -> np.ndarray:
+def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.ndarray:
     """Index of each point's nearest center, ties to the lowest index.
 
     Bitwise equal to np.argmin(pairwise_distances(spec, points, centers),
@@ -296,8 +327,9 @@ def nearest_centers(spec: DistanceSpec, points, centers) -> np.ndarray:
     ranked by one matrix product, and of cityblock by k contiguous |x - c|
     passes and a matrix-vector row sum; only rows whose top-two gap is
     within the rounding bound are recomputed exactly. chebyshev and
-    minkowski are computed exactly. Raises ValueError when a point's
-    nearest distance is not finite.
+    minkowski are computed exactly. row_norms, if given, must be
+    squared_norms(spec, points). Raises ValueError when a point's nearest
+    distance is not finite.
     """
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
@@ -307,13 +339,16 @@ def nearest_centers(spec: DistanceSpec, points, centers) -> np.ndarray:
     if ranking is None:
         rank, step = None, _block_rows(ctr.nbytes)
     else:
-        rank, step = ranking(ctr, pts.shape[0])
+        if row_norms is None:
+            row_norms = squared_norms(spec, pts)
+        rank, step = ranking(ctr, pts, row_norms)
     for start in range(0, pts.shape[0], step):
-        block = pts[start : start + step]
-        out = labels[start : start + step]
+        rows = slice(start, start + step)
+        block = pts[rows]
+        out = labels[rows]
         exact = np.arange(block.shape[0])
         if rank is not None:
-            out[:], certified = _certify(*rank(block))
+            out[:], certified = _certify(*rank(rows))
             exact = exact[~certified]
             if exact.size == 0:
                 continue
@@ -330,3 +365,85 @@ def nearest_centers(spec: DistanceSpec, points, centers) -> np.ndarray:
             )
         out[exact] = nearest
     return labels
+
+
+_SQEUCLIDEAN_SPEC = DistanceSpec(SQEUCLIDEAN)
+
+# NearestDistances computes its matrix-vector products in blocks of
+# _BLOCK_BYTES / (_GEMV_BYTES_PER_ROW * d) rows, as many as one
+# nearest_centers GEMM block holds at k = 16 (1310 rows at d = 25). On 2
+# CPUs OpenBLAS ran a 1e5 x 25 product in 6-8 ms with two threads and in
+# 1.2 ms with one, and in blocks of 20,971 rows in 32 ms; blocks of this
+# size ran as fast on one thread as on two.
+_GEMV_BYTES_PER_ROW = 8 * 16
+
+
+class NearestDistances:
+    """Each point's distance to the nearest of the centers added so far.
+
+    add(center) folds in one more center: after any sequence of additions,
+    dist is bitwise np.min(pairwise_distances(spec, points, added), axis=1),
+    inf before the first. chebyshev, minkowski and cityblock compute every
+    row of every center exactly. The euclidean family keeps, beside dist,
+    the exact kernel's sum of squares to each row's nearest center; from the
+    second center on, a row is computed exactly only where the GEMM bound
+    cannot prove the new center farther, because np.minimum would keep the
+    old distance anyway. row_norms, if given, must be
+    squared_norms(spec, points).
+    """
+
+    def __init__(self, spec: DistanceSpec, points, row_norms=None) -> None:
+        self.spec = spec
+        self.points = np.asarray(points, dtype=np.float64)
+        self.dist = np.full(self.points.shape[0], np.inf)
+        self._squared = spec.kind in _SQUARED_FAMILY
+        if self._squared:
+            self._near_sq = np.full(self.points.shape[0], np.inf)
+            self._row_norms = squared_norms(spec, self.points) if row_norms is None else row_norms
+        self._started = False
+
+    def add(self, center) -> np.ndarray:
+        """Fold in one more center and return dist, which is updated in place."""
+        ctr = np.asarray(center, dtype=np.float64).reshape(1, -1)
+        certify, self._started = self._started, True
+        if not self._squared:
+            np.minimum(self.dist, pairwise_distances(self.spec, self.points, ctr)[:, 0],
+                       out=self.dist)
+            return self.dist
+        d = ctr.shape[1]
+        ctr_sq = float(np.einsum("ij,ij->i", ctr, ctr)[0])
+        ctr_minus2 = -2.0 * ctr[0]
+        # Why a skipped row keeps its distance. Notation as in
+        # _squared_ranking, with N = |x|^2 + |c|^2 for the new center c;
+        # g is its GEMM value, D its true squared distance, e_new the exact
+        # kernel's sum of squares for it and e_near that of the row's
+        # nearest center so far (the least such sum, kept beside dist). A
+        # row is skipped when (1 - c)*g - e_near > 3A + 4*tiny. Then
+        # e_near < (1 - c)*g <= 2N + A, so the test's own rounding is a few
+        # eps*N, well within 2A, and e_near < (1 - c)*g - A with g > 0
+        # holds exactly. By 1 and 2 there, e_new >= (1 - rho)*D
+        # >= (1 - rho)*(g - A) >= (1 - rho)*g - A, and since c >= rho +
+        # 32*eps, (1 - rho)*g >= (1 + 32*eps)*(1 - c)*g; together
+        # e_new >= (1 + 32*eps)*e_near. By 3 the rounded distances then keep
+        # dist(e_new) >= dist(e_near) >= the row's nearest distance, so
+        # np.minimum returns the old value. NaN or an overflowing bound
+        # fails the test and sends the row to the exact kernel.
+        n = self.points.shape[0]
+        count = n
+        if certify:
+            g = np.empty(n)
+            gemv = _block_rows(_GEMV_BYTES_PER_ROW * d)
+            for start in range(0, n, gemv):
+                np.matmul(self.points[start : start + gemv], ctr_minus2, out=g[start : start + gemv])
+            g += self._row_norms
+            g += ctr_sq
+            c, slack = _squared_test(d, self._row_norms, ctr_sq)
+            exact = np.flatnonzero(~((1.0 - c) * g - self._near_sq > slack))
+            count = exact.size
+        step = _block_rows(ctr.nbytes)
+        for start in range(0, count, step):
+            rows = exact[start : start + step] if certify else slice(start, start + step)
+            sq = pairwise_distances(_SQEUCLIDEAN_SPEC, self.points[rows], ctr)[:, 0]
+            self.dist[rows] = np.minimum(self.dist[rows], _from_squared(self.spec, sq))
+            self._near_sq[rows] = np.minimum(self._near_sq[rows], sq)
+        return self.dist

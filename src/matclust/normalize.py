@@ -60,8 +60,10 @@ def transform(stats: FeatureStats, v) -> np.ndarray:
             f"stats have {stats.dimension}"
         )
     span = stats.max - stats.min
-    shifted = arr - stats.min
-    return np.divide(shifted, span, out=np.zeros_like(shifted), where=span != 0)
+    out = arr - stats.min
+    np.divide(out, span, out=out, where=span != 0)
+    out[..., span == 0] = 0.0
+    return out
 
 
 def fit_transform(dataset) -> tuple[FeatureStats, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import csv_text, json_text, save_report
 from .evaluate import OutlierPolicy, evaluate, table_header
-from .kmeans import DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, fit
+from .kmeans import DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, check_settings, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec, validate_spec
 
 # p grid and instance sizes used by default
@@ -73,8 +73,7 @@ class SweepPlan:
             validate_spec(DistanceSpec(DSD, p))
         for m in self.metrics:
             validate_spec(m)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_settings(self.k, self.init, self.max_iter, self.shift_tol)
         if self.k > min(self.instance_sizes):
             raise ValueError(
                 f"k ({self.k}) exceeds the smallest instance size "

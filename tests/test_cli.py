@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from matclust import sweep
 from matclust.cli import main
 
 
@@ -220,3 +221,25 @@ class TestOutputs:
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--tol", "nan", "--p-values", "1.5", "2", "--jobs", "2"],
+            ["sweep", "--max-iter", "0", "--p-values", "1.5"],
+            ["compare", "--tol", "nan", "--jobs", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_fit_setting_stops_sweep_before_any_cell(
+        self, dataset_csv, tmp_path, capsys, monkeypatch, argv
+    ):
+        calls = []
+        monkeypatch.setattr(sweep, "fit", lambda *a: calls.append(a))
+        out = tmp_path / "run"
+        rc = main([argv[0], "-i", str(dataset_csv), "-o", str(out), "--instances", "100",
+                   *argv[1:]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert calls == []

@@ -1,3 +1,5 @@
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -212,6 +214,26 @@ class TestRoundTrip:
         assert back.points.tobytes() == ds.points.tobytes()
         assert back.labels == ds.labels
         assert back.attribute_names == ds.attribute_names
+
+    def test_bytes_equal_csv_writer_rows(self, tmp_path):
+        rng = np.random.default_rng(17)
+        labels = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " spaced ", "é", "plain"]
+        ds = Dataset(
+            points=rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, 3),
+            labels=tuple(rng.choice(labels, 40)),
+            attribute_names=("x", "y,z", "w"),
+        )
+        for dataset in (ds, Dataset(points=ds.points, labels=None)):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            header = list(dataset.attribute_names) or ["attr1", "attr2", "attr3"]
+            writer.writerow(header + (["class"] if dataset.labels else []))
+            for i, row in enumerate(dataset.points):
+                label = [dataset.labels[i]] if dataset.labels else []
+                writer.writerow([fmt_float(x) for x in row] + label)
+            path = tmp_path / "out.csv"
+            save_dataset_csv(dataset, path)
+            assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_fmt_float_round_trips(self):
         for v in (0.1, 1e-300, 12345.6789, 2.0 / 3.0, 9.9e7):

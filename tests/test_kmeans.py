@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matclust import kmeans
+from matclust import kmeans, metrics
 from matclust.kmeans import (
     CENTROID_SHIFT,
     INIT_EXPLICIT,
@@ -20,7 +22,7 @@ from matclust.kmeans import (
     sse,
     update_centroids,
 )
-from matclust.metrics import METRIC_KINDS, DistanceSpec, pairwise_distances
+from matclust.metrics import METRIC_KINDS, DistanceSpec, pairwise_distances, squared_norms
 
 EUCLID = DistanceSpec("euclidean")
 BLOBS_1D = np.array([[0.0], [1.0], [9.0], [10.0]])
@@ -42,6 +44,64 @@ def reference_kmeans_pp(data: np.ndarray, config: ClusteringConfig) -> np.ndarra
         else:
             chosen.append(int(rng.integers(0, n)))
     return data[chosen]
+
+
+def reference_fit(data: np.ndarray, config: ClusteringConfig):
+    """Plain Lloyd: full distance matrices, np.add.at sums, fit's stopping rules.
+
+    Returns (centroids, assignments, sse history, reason)."""
+    if config.init == INIT_KMEANS_PP:
+        centroids = reference_kmeans_pp(data, config)
+    else:
+        centroids = init_centroids(data, config)
+    labels, reason, history = None, MAX_ITER, []
+    for _ in range(config.max_iter):
+        new_labels = np.argmin(pairwise_distances(config.metric, data, centroids), axis=1)
+        sums = np.zeros((config.k, data.shape[1]))
+        np.add.at(sums, new_labels, data)
+        counts = np.bincount(new_labels, minlength=config.k)
+        new_centroids = np.empty_like(sums)
+        for j in range(config.k):
+            if counts[j]:
+                new_centroids[j] = sums[j] / counts[j]
+            else:
+                far = pairwise_distances(config.metric, data, centroids[j : j + 1])[:, 0]
+                new_centroids[j] = data[np.argmax(far)]
+        history.append(float(np.sum((data - new_centroids[new_labels]) ** 2)))
+        shift = float(np.max(np.abs(new_centroids - centroids)))
+        stable = labels is not None and np.array_equal(new_labels, labels)
+        labels, centroids = new_labels, new_centroids
+        if stable:
+            reason = STABLE_ASSIGNMENTS
+            break
+        if shift <= config.shift_tol:
+            reason = CENTROID_SHIFT
+            break
+    if reason != MAX_ITER and (np.bincount(labels, minlength=config.k) == 0).any():
+        raise ValueError("are empty at convergence")
+    return centroids, labels, history, reason
+
+
+@st.composite
+def degenerate_problems(draw):
+    """Data with exact ties, duplicates, constant columns, fewer distinct
+    points than k and a 1e6 offset, and a k for it."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["grid", "few-distinct", "random"]))
+    if shape == "grid":  # ties and duplicates everywhere
+        data = rng.integers(0, 3, (n, dim)).astype(np.float64)
+    elif shape == "few-distinct":
+        distinct = draw(st.integers(1, 3))
+        data = rng.random((distinct, dim))[rng.integers(0, distinct, n)]
+    else:
+        data = rng.random((n, dim))
+    if draw(st.booleans()):
+        data[:, draw(st.integers(0, dim - 1))] = 0.25  # a constant column
+    if draw(st.booleans()):
+        data = data + 1e6
+    return data, draw(st.integers(1, min(n, 6)))
 
 
 def brute_force_sse(data: np.ndarray, k: int) -> float:
@@ -113,6 +173,47 @@ class TestInitCentroids:
                 cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
                 assert np.array_equal(init_centroids(data, cfg), reference_kmeans_pp(data, cfg))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(problem=degenerate_problems(), seed=st.integers(0, 2**16))
+    def test_kmeans_pp_matches_full_recompute_on_degenerate_data(self, spec, problem, seed):
+        data, k = problem
+        cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+        expected = reference_kmeans_pp(data, cfg)
+        assert init_centroids(data, cfg).tobytes() == expected.tobytes()
+        given_norms = init_centroids(data, cfg, row_norms=squared_norms(spec, data))
+        assert given_norms.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def seeding_rows(monkeypatch, data, cfg):
+        """Rows that k-means++ computes with pairwise_distances."""
+        seen = []
+
+        def spy(spec_, rows, centers):
+            seen.append(len(rows))
+            return pairwise_distances(spec_, rows, centers)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "pairwise_distances", spy)
+            chosen = init_centroids(data, cfg)
+        assert chosen.tobytes() == reference_kmeans_pp(data, cfg).tobytes()
+        return sum(seen)
+
+    @pytest.mark.parametrize(
+        "spec", [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec("dsd", 1.523)],
+        ids=str,
+    )
+    def test_kmeans_pp_computes_few_rows_exactly(self, spec, monkeypatch):
+        rng = np.random.default_rng(23)
+        n, k = 800, 16
+        means = rng.random((k, 3)) * 10.0
+        data = means[rng.integers(0, k, n)] + 0.05 * rng.random((n, 3))
+        cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=5)
+        # every row for the first centroid, then mostly the rows each new one moves nearer
+        assert n <= self.seeding_rows(monkeypatch, data, cfg) < 4 * n
+        # offset by 1e8 the GEMM bound proves nothing: every row of every step
+        assert self.seeding_rows(monkeypatch, data + 1e8, cfg) == (k - 1) * n
+
     def test_explicit_echoes_user_centroids(self):
         given = np.array([[0.5], [9.5]])
         cfg = ClusteringConfig(k=2, metric=EUCLID, init=INIT_EXPLICIT, initial_centroids=given)
@@ -147,12 +248,34 @@ class TestAssign:
                 with monkeypatch.context() as patch:
                     patch.setattr(
                         kmeans, "nearest_centers",
-                        lambda s, p, c: np.argmin(pairwise_distances(s, p, c), axis=1),
+                        lambda s, p, c, _norms: np.argmin(pairwise_distances(s, p, c), axis=1),
                     )
                     reference = fit(data, cfg)
                 assert np.array_equal(model.centroids, reference.centroids)
                 assert np.array_equal(model.assignments, reference.assignments)
                 assert model.sse_per_iter == reference.sse_per_iter
+
+
+class TestFitReference:
+    @pytest.mark.parametrize("init", [INIT_KMEANS_PP, INIT_RANDOM])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(problem=degenerate_problems(), seed=st.integers(0, 2**16))
+    def test_fit_equals_plain_lloyd_or_raises(self, spec, init, problem, seed):
+        data, k = problem
+        cfg = ClusteringConfig(k=k, metric=spec, init=init, seed=seed, max_iter=20)
+        try:
+            expected = reference_fit(data, cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fit(data, cfg)
+            return
+        model = fit(data, cfg)
+        centroids, labels, history, reason = expected
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.assignments.tobytes() == labels.tobytes()
+        assert model.sse_per_iter == tuple(history)
+        assert model.converged_reason == reason
 
 
 class TestUpdateCentroids:
@@ -219,6 +342,23 @@ class TestSse:
     def test_two_blob_optimum_is_one(self):
         assert sse(BLOBS_1D, [[0.5], [9.5]], [0, 0, 1, 1]) == 1.0
 
+    def test_buffer_and_columns_give_the_same_bits(self):
+        rng = np.random.default_rng(29)
+        data = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-3, 4, 7)
+        labels = rng.integers(0, 5, 300).astype(np.int8)
+        ctr = rng.random((5, 7))
+        buf = np.full_like(data, np.nan)
+        columns = np.asfortranarray(data).T
+        for _ in range(2):  # a reused buffer holds the last call's residuals
+            assert sse(data, ctr, labels, out=buf) == float(np.sum((data - ctr[labels]) ** 2))
+        assert (update_centroids(data, labels, 5, columns=columns).tobytes()
+                == update_centroids(data, labels, 5).tobytes())
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+    def test_out_of_range_assignment_rejected(self, labels):
+        with pytest.raises(ValueError, match=r"assignments must lie in \[0, 2\)"):
+            sse(np.zeros((2, 1)), np.zeros((2, 1)), labels)
+
 
 class TestFit:
     def test_k1_converges_to_mean(self):
@@ -279,6 +419,19 @@ class TestFit:
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
             fit(BLOBS_1D, ClusteringConfig(k=k, metric=EUCLID))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(max_iter=0), "max_iter must be >= 1"),
+            (dict(max_iter=2.5), "max_iter must be an integer"),
+            (dict(max_iter=True), "max_iter must be an integer"),
+            (dict(init="farthest"), "unknown init mode 'farthest'"),
+        ],
+    )
+    def test_bad_settings_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            fit(BLOBS_1D, ClusteringConfig(k=2, metric=EUCLID, **bad))
 
     def test_numpy_integer_k_accepted(self):
         assert fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), metric=EUCLID)).converged

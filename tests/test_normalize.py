@@ -51,6 +51,19 @@ class TestTransform:
         out = transform(self.STATS, [-5.0, 2.0])
         assert out[0] == -0.5
 
+    def test_bitwise_the_divide_into_zeros_and_input_untouched(self):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-3, 8, 6)
+        data[:, 2] = 7.5  # a constant column
+        stats = fit(data)
+        span = stats.max - stats.min
+        for v in (data, data[3], data * 3.0 - 1.0):  # out-of-sample rows too
+            before = v.copy()
+            shifted = v - stats.min
+            expected = np.divide(shifted, span, out=np.zeros_like(shifted), where=span != 0)
+            assert transform(stats, v).tobytes() == expected.tobytes()
+            assert v.tobytes() == before.tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             transform(self.STATS, [1.0, 2.0, 3.0])

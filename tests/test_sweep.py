@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from matclust import sweep
 from matclust.data import default_material_specs, generate_synthetic
 from matclust.evaluate import EvaluationReport, OutlierPolicy
 from matclust.metrics import DistanceSpec
@@ -56,6 +57,25 @@ class TestPlanValidation:
     def test_out_of_range_p_rejected(self, small_data):
         with pytest.raises(ValueError, match="below 1"):
             run_p_sweep(small_plan(p_values=(0.5,)), small_data)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(k=2.5), "k must be an integer"),
+            (dict(k=True), "k must be an integer"),
+            (dict(k=0), "k must be >= 1"),
+            (dict(max_iter=0), "max_iter must be >= 1"),
+            (dict(shift_tol=float("nan")), "shift_tol must be finite"),
+            (dict(init="farthest"), "unknown init mode"),
+        ],
+    )
+    def test_fit_settings_rejected_before_any_cell(self, small_data, monkeypatch, bad, message):
+        calls = []
+        monkeypatch.setattr(sweep, "fit", lambda *a: calls.append(a))
+        for run in (run_p_sweep, run_metric_comparison):
+            with pytest.raises(ValueError, match=message):
+                run(small_plan(jobs=2, **bad), small_data)
+        assert calls == []
 
     def test_validation_happens_before_fitting(self, small_data):
         # error surfaces immediately even though the grid would be expensive
