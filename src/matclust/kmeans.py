@@ -11,11 +11,12 @@ k-means++ seeding keeps each point's distance to its nearest chosen
 centroid in a metrics.NearestDistances and adds one centroid per step; for
 euclidean, sqeuclidean and dsd a GEMM bound skips the points that the
 newest centroid provably does not move nearer. fit builds a per-fit
-workspace once: the row norms for seeding and assignment, the data's
-columns as contiguous rows for the centroid sums, and one residual buffer
-for the SSE. Each is an optional argument of init_centroids, assign,
-update_centroids and sse, which compute it themselves when it is not
-given, with bitwise the same result.
+workspace once: the row norms for seeding and assignment; the data's
+columns as contiguous rows, which seeding and assignment hand to the
+metrics module's exact core and GEMM ranking and from which the centroids
+are summed; and one residual buffer for the SSE. Each is an optional argument
+of init_centroids, assign, update_centroids and sse, which compute it
+themselves when it is not given, with bitwise the same result.
 
 Everything is seeded and single-threaded, so a given (dataset, config)
 always produces a bitwise-identical model.
@@ -108,6 +109,8 @@ def check_settings(k, init: str, max_iter, shift_tol) -> None:
 
 
 def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
+    if data.ndim != 2 or 0 in data.shape:
+        raise ValueError("dataset must be a non-empty 2-D array")
     check_settings(config.k, config.init, config.max_iter, config.shift_tol)
     if config.k > data.shape[0]:
         raise ValueError(
@@ -116,10 +119,13 @@ def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
     validate_spec(config.metric)
 
 
-def init_centroids(dataset, config: ClusteringConfig, row_norms=None) -> np.ndarray:
+def init_centroids(
+    dataset, config: ClusteringConfig, row_norms=None, columns=None
+) -> np.ndarray:
     """Choose the k initial centroids according to config.init.
 
-    row_norms, if given, must be metrics.squared_norms(config.metric, dataset).
+    row_norms, if given, must be metrics.squared_norms(config.metric, dataset)
+    and columns np.asfortranarray(dataset).T.
     """
     data = np.asarray(dataset, dtype=np.float64)
     _check_config(data, config)
@@ -145,7 +151,7 @@ def init_centroids(dataset, config: ClusteringConfig, row_norms=None) -> np.ndar
     n = data.shape[0]
     chosen = np.empty(config.k, dtype=np.intp)
     chosen[0] = rng.integers(0, n)
-    nearest = NearestDistances(config.metric, data, row_norms)
+    nearest = NearestDistances(config.metric, data, row_norms, columns)
     for i in range(1, config.k):
         # an overflow, or the NaN it leads to, makes the total non-finite,
         # which is rejected below
@@ -164,12 +170,13 @@ def init_centroids(dataset, config: ClusteringConfig, row_norms=None) -> np.ndar
     return data[chosen].copy()
 
 
-def assign(dataset, centroids, metric: DistanceSpec, row_norms=None) -> np.ndarray:
+def assign(dataset, centroids, metric: DistanceSpec, row_norms=None, columns=None) -> np.ndarray:
     """Map each point to its nearest centroid; ties go to the lowest index.
 
-    row_norms, if given, must be metrics.squared_norms(metric, dataset).
+    row_norms, if given, must be metrics.squared_norms(metric, dataset) and
+    columns np.asfortranarray(dataset).T.
     """
-    return nearest_centers(metric, dataset, centroids, row_norms)
+    return nearest_centers(metric, dataset, centroids, row_norms, columns)
 
 
 def update_centroids(
@@ -263,8 +270,8 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     # the per-fit workspace: every quantity that depends on the data alone
     # is computed once, and the residual buffer is allocated once
     row_norms = squared_norms(config.metric, data)
-    centroids = init_centroids(data, config, row_norms=row_norms)
     columns = np.asfortranarray(data).T
+    centroids = init_centroids(data, config, row_norms=row_norms, columns=columns)
     resid = np.empty_like(data)
     labels = None
     reason = MAX_ITER
@@ -273,7 +280,7 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
 
     for _ in range(config.max_iter):
         iterations += 1
-        new_labels = assign(data, centroids, config.metric, row_norms=row_norms)
+        new_labels = assign(data, centroids, config.metric, row_norms=row_norms, columns=columns)
         new_centroids = update_centroids(
             data, new_labels, config.k, prev_centroids=centroids, metric=config.metric,
             columns=columns,

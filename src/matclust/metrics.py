@@ -5,6 +5,13 @@ specification distance ``dsd`` computes (sum of squared differences)^(p/3),
 which coincides with Euclidean at p=1.5 and squared Euclidean at p=3. Note
 that dsd is only a true metric (triangle inequality) for p <= 1.5; for
 p > 1.5 the collinear points 0, 1, 2 in one dimension already violate it.
+
+Every distance comes from one exact core, _exact, which works on the
+points' columns, a (d, m) array: per center a few numpy calls over m
+contiguous values each, with results written center-major as a (k, m)
+block. pairwise_distances, nearest_centers and NearestDistances all use
+it. The euclidean family first ranks the centers by a matrix product; only
+rows its rounding bound leaves open get the exact core.
 """
 
 from __future__ import annotations
@@ -29,10 +36,12 @@ _PARAMETRIC = frozenset({MINKOWSKI, DSD})
 # argmin, and their exact kernel is the sum of squares followed by _from_squared
 _SQUARED_FAMILY = frozenset({EUCLIDEAN, SQEUCLIDEAN, DSD})
 
-# pairwise_distances works through the points in row blocks whose
-# rows x centers x dimension difference array takes about this many bytes,
-# so its memory does not grow with n.
-_BLOCK_BYTES = 4 << 20
+# The core works through the points in blocks whose (d, rows) difference
+# array takes about this many bytes, so its memory does not grow with n.
+# On a normalized 1e5 x 25 input with k = 16 (2 CPUs, 4 MB L2), blocks of
+# 1 MB (5242 points) assigned cityblock in 61 ms, blocks of 0.5, 1.5, 2
+# and 3 MB in 99, 68, 72 and 83 ms; dsd was as fast at 1 MB as at 2 MB.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,39 +91,111 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def _reduce(spec: DistanceSpec, diffs: np.ndarray) -> np.ndarray:
-    """Apply the metric's closed form along the last axis of a diff array.
+def _block_rows(height: int) -> int:
+    """Points per block of a (height, points) scratch array: the core's d
+    differences, or the ranking's k values, per point."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, height)))
 
-    diffs must be a temporary the caller owns: it may be overwritten.
+
+# BLAS calls stay small: a product of k rows of d values with the columns
+# of some points covers at most _PRODUCT_BYTES / (8 * d * max(k, 16))
+# points, 1310 at d = 25 and k <= 16. On 2 CPUs OpenBLAS ran a
+# (16 x 25) @ (25 x 2621) product in 8 ms on two threads and in 0.08 ms on
+# one, and products of up to 1310 points as fast on two threads as on one.
+_PRODUCT_BYTES = 4 << 20
+
+
+def _product(left: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """left @ columns for a (k, d) or (d,) left and (d, m) columns, by
+    one BLAS call per slice of columns of the size above."""
+    out = np.empty(left.shape[:-1] + columns.shape[1:])
+    k = left.shape[0] if left.ndim == 2 else 1
+    step = max(1, _PRODUCT_BYTES // (8 * columns.shape[0] * max(k, 16)))
+    for start in range(0, columns.shape[1], step):
+        cols = slice(start, start + step)
+        np.matmul(left, columns[:, cols], out=out[..., cols])
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """The sums of the columns of a (d, m) array of non-negative terms,
+    computed in place in a's rows; returns the row that holds them.
+
+    The d terms of a column are added in the order in which
+    np.sum(..., axis=-1) adds a contiguous row of d terms, numpy's pairwise
+    summation: below 8 terms one after another; up to 128 terms in eight
+    running sums s_r of the terms r, r + 8, ..., combined as
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the last d mod 8
+    terms one after another; above 128 terms, the sums of the two halves
+    split at a multiple of 8 below d/2, added. np.sum adds this to 0.0,
+    which changes no sum of non-negative terms. So every distance is
+    bitwise the broadcast formula's; the tests check the order against
+    np.sum for every d from 1 to 300.
     """
+    d = a.shape[0]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        head = _row_sum(a[:half])
+        head += _row_sum(a[half:])
+        return head
+    tail = 1
+    if d >= 8:
+        tail = d - d % 8
+        acc = a[:8]
+        for t in range(8, tail, 8):
+            acc += a[t : t + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+    for t in range(tail, d):
+        a[0] += a[t]
+    return a[0]
+
+
+def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (k, m) distances from k centers to m points given by their
+    columns, a (d, m) array; m is at most _block_rows(d).
+
+    The one exact core: every distance in this module is computed here.
+    Per center it subtracts the center from the columns, takes abs, the
+    square or minkowski's scaled power in place and folds the d rows, by
+    _row_sum or, for chebyshev, a max. Each step computes the same values
+    as the (rows, k, d) broadcast formula, so the results are bitwise its
+    own.
+    """
+    d, m = columns.shape
+    out = np.empty((centers.shape[0], m))
+    diff = np.empty((d, m))
     kind = spec.kind
-    if kind in _SQUARED_FAMILY:
-        return _from_squared(spec, np.sum(diffs * diffs, axis=-1))
-    if kind == CITYBLOCK:
-        return np.sum(np.abs(diffs, out=diffs), axis=-1)
-    if kind == CHEBYSHEV:
-        return np.max(np.abs(diffs, out=diffs), axis=-1)
-    if kind == MINKOWSKI:
-        # Scale by the per-row max so |d|^p cannot over/underflow for large p.
-        # Both steps work in place: a row whose max is 0 is all +0.0 already,
-        # and **= takes the same scalar-exponent path as **.
-        a = np.abs(diffs, out=diffs)
-        m = np.max(a, axis=-1, keepdims=True)
-        np.divide(a, m, out=a, where=m > 0)
-        p = float(spec.p)
-        a **= p
-        root = np.power(np.sum(a, axis=-1), 1.0 / p)
-        return np.squeeze(m, axis=-1) * root
-    raise ValueError(f"unknown metric kind {kind!r}")
+    for j, center in enumerate(centers):
+        np.subtract(columns, center[:, None], out=diff)
+        if kind in _SQUARED_FAMILY:
+            np.multiply(diff, diff, out=diff)
+        else:
+            np.abs(diff, out=diff)
+        if kind == CHEBYSHEV:
+            np.max(diff, axis=0, out=out[j])
+        elif kind == MINKOWSKI:
+            # Scale by the per-point max so |d|^p cannot over/underflow for
+            # large p. A point whose max is 0 has all +0.0 terms already,
+            # and **= takes the same scalar-exponent path as **.
+            top = np.max(diff, axis=0)
+            np.divide(diff, top, out=diff, where=top > 0)
+            p = float(spec.p)
+            diff **= p
+            np.multiply(top, np.power(_row_sum(diff), 1.0 / p), out=out[j])
+        else:
+            out[j] = _row_sum(diff)
+    return _from_squared(spec, out)
 
 
 def _from_squared(spec: DistanceSpec, sq: np.ndarray) -> np.ndarray:
     """The distance of a squared-family kind from the exact kernel's sum of
-    squares."""
+    squares, in place; other kinds pass through."""
     if spec.kind == EUCLIDEAN:
-        return np.sqrt(sq)
-    if spec.kind == DSD:
-        return np.power(sq, float(spec.p) / 3.0)
+        np.sqrt(sq, out=sq)
+    elif spec.kind == DSD:
+        np.power(sq, float(spec.p) / 3.0, out=sq)
     return sq
 
 
@@ -142,12 +223,9 @@ def _point_arrays(points, centers) -> tuple[np.ndarray, np.ndarray]:
             f"dimension mismatch: points have {pts.shape[1]} components, "
             f"centers have {ctr.shape[1]}"
         )
+    if ctr.shape[1] == 0:
+        raise ValueError("zero-dimension vectors are not allowed")
     return pts, ctr
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Rows per block when each row takes row_bytes of scratch."""
-    return max(1, _BLOCK_BYTES // max(1, row_bytes))
 
 
 def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
@@ -158,10 +236,10 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
     """
     pts, ctr = _point_arrays(points, centers)
     out = np.empty((pts.shape[0], ctr.shape[0]))
-    step = _block_rows(ctr.nbytes)
+    step = _block_rows(ctr.shape[1])
     for start in range(0, pts.shape[0], step):
-        block = pts[start : start + step]
-        out[start : start + step] = _reduce(spec, block[:, None, :] - ctr[None, :, :])
+        rows = slice(start, start + step)
+        out[rows] = _exact(spec, pts[rows].T, ctr).T
     return out
 
 
@@ -183,199 +261,124 @@ def squared_norms(spec: DistanceSpec, points) -> np.ndarray | None:
 
 def _squared_test(d: int, pts_sq: np.ndarray, ctr_sq: float) -> tuple[float, np.ndarray]:
     """c and the slack 3A + 4*tiny of the GEMM certificate for rows with
-    these |x|^2, against centers whose largest |c|^2 is ctr_sq; the
-    derivation is in _squared_ranking."""
+    these |x|^2, against centers whose largest |c|^2 is ctr_sq.
+
+    A row whose GEMM values g_j = |x|^2 + |c_j|^2 - 2 x.c_j have the two
+    smallest s1 <= s2 keeps the argmin a of g when (1 - c)*s2 - s1 > 3A +
+    4*tiny. Why. Notation: u = eps/2, gamma_n = n*u/(1 - n*u), N = |x|^2 +
+    max_j |c_j|^2, D_j the true squared distance, e_j the exact kernel's sum
+    of squares, b any center other than a.
+    1. GEMM rounding. |x|^2, |c_j|^2 and x.(-2c_j) are sums whose absolute
+       terms total |x|^2, |c_j|^2 and at most |x|^2 + |c_j|^2; in any order,
+       with or without FMA, each errs by at most gamma_d times that total,
+       2*gamma_d*N in all. The two additions err by u each on magnitudes
+       below 2N. So |g_j - D_j| <= A := (d + 3)*eps*N, second-order terms
+       included.
+    2. Exact-kernel rounding. fl(x_t - c_t) squared and summed in any order
+       gives |e_j - D_j| <= gamma_(d+2)*D_j =: rho*D_j, and 2*rho <=
+       (d + 3)*eps.
+    3. Last ulp. sqrt is correctly rounded; pow(., q), q = p/3 in [1/3, 1],
+       is taken to be within 5 ulps. If e_b >= (1 + 32*eps)*e_a, then
+       e_b^q / e_a^q >= 1 + 10.6*eps, so the rounded values stay strictly
+       ordered and never merge into a tie that the exact argmin would break
+       toward a lower index.
+    From D_b - D_a >= c*D_b with c = (d + 36)*eps >= 2*rho + 32*eps +
+    O(eps^2), 2 and 3 give e_b >= (1 + 32*eps)*e_a. By 1, D_b - D_a >= g_b -
+    s1 - 2A and D_b <= g_b + A, so (1 - c)*g_b - s1 >= (2 + c)*A suffices;
+    its left side is least at g_b = s2, and 3A covers (2 + c)*A plus the
+    rounding of this test. Gradual underflow adds at most 2^-1075 per
+    operation, far below the 4*tiny term, which also keeps e_b a normal
+    number. Where 3N overflows the bound is inf, so a certified row's
+    distances are all finite.
+    """
     return (d + 36) * _EPS, (d + 3) * _EPS * (3.0 * (pts_sq + ctr_sq)) + 4.0 * _TINY
 
 
-# A ranking is built once per nearest_centers call from the centers, the
-# points and their squared norms (None outside the euclidean family). It
-# returns (rank, step): rank maps the slice of at most step rows to
-# (g, c, slack), where g[i, j] ranks center j for row i closely enough that
-# _certify proves a row's argmin from g with that c and slack.
+def _two_smallest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each column of a (k, m) array: the row of its least value, ties
+    to the lowest row, that value, and the least of the other rows' values
+    capped at the largest float. values is overwritten.
 
-
-def _squared_ranking(ctr: np.ndarray, pts: np.ndarray, pts_sq: np.ndarray):
-    """Rank the euclidean family by the GEMM form of the squared distance.
-
-    euclidean, sqeuclidean and dsd at every p are nondecreasing functions
-    of the squared Euclidean distance, so they share its argmin.
+    k folds of contiguous rows, not m reductions k long. A column with a
+    NaN has a NaN least value.
     """
-    d = ctr.shape[1]
-    ctr_sq = np.einsum("ij,ij->i", ctr, ctr)
-    ctr_minus2_t = -2.0 * ctr.T
-    # Why a row with (1 - c)*s2 - s1 > 3A + 4*tiny keeps its argmin a.
-    # Notation: u = eps/2, gamma_n = n*u/(1 - n*u), N = |x|^2 + max_j |c_j|^2,
-    # D_j the true squared distance, e_j the exact kernel's sum of squares,
-    # s1 <= s2 the two smallest GEMM values g_j, b any center other than a.
-    # 1. GEMM rounding. |x|^2, |c_j|^2 and x.(-2c_j) are sums whose
-    #    absolute terms total |x|^2, |c_j|^2 and at most |x|^2 + |c_j|^2;
-    #    in any order, with or without FMA, each errs by at most gamma_d
-    #    times that total, 2*gamma_d*N in all. The two additions err by u
-    #    each on magnitudes below 2N. So |g_j - D_j| <= A := (d + 3)*eps*N,
-    #    second-order terms included.
-    # 2. Exact-kernel rounding. fl(x_t - c_t) squared and summed in any
-    #    order gives |e_j - D_j| <= gamma_(d+2)*D_j =: rho*D_j, and
-    #    2*rho <= (d + 3)*eps.
-    # 3. Last ulp. sqrt is correctly rounded; pow(., q), q = p/3 in [1/3, 1],
-    #    is taken to be within 5 ulps. If e_b >= (1 + 32*eps)*e_a, then
-    #    e_b^q / e_a^q >= 1 + 10.6*eps, so the rounded values stay strictly
-    #    ordered and never merge into a tie that the exact argmin would
-    #    break toward a lower index.
-    # From D_b - D_a >= c*D_b with c = (d + 36)*eps >= 2*rho + 32*eps +
-    # O(eps^2), 2 and 3 give e_b >= (1 + 32*eps)*e_a. By 1, D_b - D_a >=
-    # g_b - s1 - 2A and D_b <= g_b + A, so (1 - c)*g_b - s1 >= (2 + c)*A
-    # suffices; its left side is least at g_b = s2, and 3A covers (2 + c)*A
-    # plus the rounding of this test. Gradual underflow adds at most 2^-1075
-    # per operation, far below the 4*tiny term, which also keeps e_b a
-    # normal number. Where 3N overflows the bound is inf, so a certified
-    # row's distances are all finite.
-    c, slack = _squared_test(d, pts_sq, ctr_sq.max())
-
-    def rank(rows: slice):
-        g = pts[rows] @ ctr_minus2_t
-        g += pts_sq[rows, None]
-        g += ctr_sq
-        return g, c, slack[rows]
-
-    return rank, _block_rows(ctr.nbytes)
-
-
-def _cityblock_ranking(ctr: np.ndarray, pts: np.ndarray, pts_sq: None):
-    """Rank cityblock by the exact kernel's own |x - c| terms, summed by BLAS.
-
-    The exact kernel's (rows, k, d) broadcast runs numpy inner loops only d
-    long. Here each center is subtracted from the whole block as one
-    contiguous vector against that center tiled across the rows, and each
-    row's d terms are summed by a matrix-vector product with ones.
-    """
-    k, d = ctr.shape
-    # the tiles, the difference buffer and the (k, rows) ranking together
-    # take at most _BLOCK_BYTES, and small inputs build only n rows of them
-    step = _block_rows(ctr.nbytes + 8 * (d + k))
-    rows = min(step, pts.shape[0])
-    tiles = np.tile(ctr, (1, rows))
-    diff = np.empty(rows * d)
-    sums = np.empty((k, rows))
-    ones = np.ones(d)
-    # Why a row with (1 - c)*s2 - s1 > 4*tiny keeps its argmin a, for
-    # c = (2d + 8)*eps. Notation as above; a_t = |fl(x_t - c_t)|, T_j the
-    # true sum of center j's a_t, e_j the exact kernel's sum and r_j = g_j
-    # this ranking's. Both paths compute the same a_t, with the same
-    # subtraction, and add the same d non-negative terms, only in different
-    # orders (a product with 1.0 is exact, with or without FMA). Any order
-    # errs by at most gamma_(d-1)*T_j, also under gradual underflow, since
-    # an addition whose result is subnormal is exact. So for b != a,
-    # e_b >= (1 - gamma)/(1 + gamma)*r_b and e_a <= (1 + gamma)/(1 - gamma)*s1,
-    # and e_b > e_a, which leaves no tie to break, once
-    # (1 - 4*gamma)*r_b > s1. The bound is relative, with no |x|^2 term,
-    # so data far from the origin certifies as well as data near it. The
-    # test's own rounding (1 - c, its product with s2 and an underflow of
-    # at most 2^-1075, covered by 4*tiny) needs about 2u more, and
-    # 4*gamma + 2u <= (2d - 1)*eps + O(eps^2), which c exceeds by 9*eps to
-    # cover the second-order terms. An r_b that overflows
-    # to inf has T_b >= MAX/(1 + gamma) or e_b = inf, so _certify may cap
-    # s2 at MAX: a certified s1 < (1 - c)*MAX still gives e_b > e_a.
-    c = (2 * d + 8) * _EPS
-
-    def rank(block_rows: slice):
-        block = pts[block_rows]
-        m = block.shape[0]
-        flat = block.reshape(-1)
-        part = diff[: m * d]
-        g = sums[:, :m]
-        for j in range(k):
-            np.subtract(flat, tiles[j, : m * d], out=part)
-            np.abs(part, out=part)
-            np.matmul(part.reshape(m, d), ones, out=g[j])
-        return g.T, c, 4.0 * _TINY
-
-    return rank, step
-
-
-_RANKINGS = {
-    EUCLIDEAN: _squared_ranking,
-    SQEUCLIDEAN: _squared_ranking,
-    DSD: _squared_ranking,
-    CITYBLOCK: _cityblock_ranking,
-}
-
-
-def _certify(g: np.ndarray, c: float, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's argmin of g, and a mask of the rows where it is proven
-    to equal the exact kernel's: (1 - c)*s2 - s1 > slack for the two
-    smallest values s1 <= s2. g is overwritten."""
-    rows = np.arange(g.shape[0])
-    nearest = np.argmin(g, axis=1)
-    s1 = g[rows, nearest]
-    # s2 is capped at the largest float, also when there is one center
-    g[rows, nearest] = _MAX
-    s2 = np.min(g, axis=1)
-    # NaN fails the comparison, so rows with NaN go to the exact kernel
-    return nearest, (1.0 - c) * s2 - s1 > slack
+    least = values[0].copy()
+    second = np.full_like(least, _MAX)
+    row = np.zeros(least.shape, dtype=np.intp)
+    nearer = np.empty(least.shape, dtype=bool)
+    low = np.empty_like(least)
+    for j in range(1, values.shape[0]):
+        v = values[j]
+        np.less(v, least, out=nearer)
+        np.copyto(row, j, where=nearer)
+        np.minimum(least, v, out=low)
+        np.maximum(least, v, out=v)
+        np.minimum(second, v, out=second)
+        least, low = low, least
+    return row, least, second
 
 
 # Overflow, and the NaN it can lead to, never passes silently here: in the
-# ranking it only sends a row to the exact kernel, and a non-finite nearest
-# distance from the exact kernel is rejected.
+# ranking it only sends a row to the exact core, and a non-finite nearest
+# distance from the exact core is rejected.
 @np.errstate(over="ignore", invalid="ignore")
-def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.ndarray:
+def nearest_centers(
+    spec: DistanceSpec, points, centers, row_norms=None, columns=None
+) -> np.ndarray:
     """Index of each point's nearest center, ties to the lowest index.
 
     Bitwise equal to np.argmin(pairwise_distances(spec, points, centers),
     axis=1). Each row block of the euclidean, sqeuclidean and dsd kinds is
-    ranked by one matrix product, and of cityblock by k contiguous |x - c|
-    passes and a matrix-vector row sum; only rows whose top-two gap is
-    within the rounding bound are recomputed exactly. chebyshev and
-    minkowski are computed exactly. row_norms, if given, must be
-    squared_norms(spec, points). Raises ValueError when a point's nearest
-    distance is not finite.
+    ranked by one matrix product, -2C @ columns plus the squared norms; only
+    rows whose top-two gap is within the rounding bound of _squared_test
+    get the exact core. cityblock, chebyshev and minkowski are computed
+    exactly. row_norms, if given, must be squared_norms(spec, points) and
+    columns np.asfortranarray(points).T. Raises ValueError when a point's
+    nearest distance is not finite.
     """
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
         raise ValueError("at least one centroid is required")
-    labels = np.empty(pts.shape[0], dtype=np.intp)
-    ranking = _RANKINGS.get(spec.kind)
-    if ranking is None:
-        rank, step = None, _block_rows(ctr.nbytes)
-    else:
+    if columns is None:
+        columns = np.asfortranarray(pts).T
+    n = pts.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    count = n
+    ranked = spec.kind in _SQUARED_FAMILY
+    if ranked:
         if row_norms is None:
             row_norms = squared_norms(spec, pts)
-        rank, step = ranking(ctr, pts, row_norms)
-    for start in range(0, pts.shape[0], step):
-        rows = slice(start, start + step)
-        block = pts[rows]
-        out = labels[rows]
-        exact = np.arange(block.shape[0])
-        if rank is not None:
-            out[:], certified = _certify(*rank(rows))
-            exact = exact[~certified]
-            if exact.size == 0:
-                continue
-            block = block[exact]
-        dist = pairwise_distances(spec, block, ctr)
-        nearest = np.argmin(dist, axis=1)
-        bad = ~np.isfinite(dist[np.arange(exact.size), nearest])
+        ctr_sq = np.einsum("ij,ij->i", ctr, ctr)[:, None]
+        ctr_minus2 = -2.0 * ctr
+        c, slack = _squared_test(ctr.shape[1], row_norms, ctr_sq.max())
+        certified = np.empty(n, dtype=bool)
+        step = _block_rows(ctr.shape[0])
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            g = _product(ctr_minus2, columns[:, rows])
+            g += row_norms[rows]
+            g += ctr_sq
+            labels[rows], s1, s2 = _two_smallest(g)
+            certified[rows] = (1.0 - c) * s2 - s1 > slack[rows]
+        exact = np.flatnonzero(~certified)
+        count = exact.size
+    step = _block_rows(ctr.shape[1])
+    for start in range(0, count, step):
+        rows = exact[start : start + step] if ranked else slice(start, start + step)
+        nearest, least, _ = _two_smallest(_exact(spec, columns[:, rows], ctr))
+        bad = ~np.isfinite(least)
         if bad.any():
-            row = start + int(exact[np.argmax(bad)])
+            row = int(np.arange(n)[rows][np.argmax(bad)])
             raise ValueError(
                 f"point {row} has no finite distance to any centroid: the "
                 "distances overflow float64 (or the data is not finite); "
                 "normalize the data"
             )
-        out[exact] = nearest
+        labels[rows] = nearest
     return labels
 
 
 _SQEUCLIDEAN_SPEC = DistanceSpec(SQEUCLIDEAN)
-
-# NearestDistances computes its matrix-vector products in blocks of
-# _BLOCK_BYTES / (_GEMV_BYTES_PER_ROW * d) rows, as many as one
-# nearest_centers GEMM block holds at k = 16 (1310 rows at d = 25). On 2
-# CPUs OpenBLAS ran a 1e5 x 25 product in 6-8 ms with two threads and in
-# 1.2 ms with one, and in blocks of 20,971 rows in 32 ms; blocks of this
-# size ran as fast on one thread as on two.
-_GEMV_BYTES_PER_ROW = 8 * 16
 
 
 class NearestDistances:
@@ -385,40 +388,35 @@ class NearestDistances:
     dist is bitwise np.min(pairwise_distances(spec, points, added), axis=1),
     inf before the first. chebyshev, minkowski and cityblock compute every
     row of every center exactly. The euclidean family keeps, beside dist,
-    the exact kernel's sum of squares to each row's nearest center; from the
+    the exact core's sum of squares to each row's nearest center; from the
     second center on, a row is computed exactly only where the GEMM bound
     cannot prove the new center farther, because np.minimum would keep the
     old distance anyway. row_norms, if given, must be
-    squared_norms(spec, points).
+    squared_norms(spec, points) and columns np.asfortranarray(points).T.
     """
 
-    def __init__(self, spec: DistanceSpec, points, row_norms=None) -> None:
+    def __init__(self, spec: DistanceSpec, points, row_norms=None, columns=None) -> None:
         self.spec = spec
-        self.points = np.asarray(points, dtype=np.float64)
-        self.dist = np.full(self.points.shape[0], np.inf)
+        pts = np.asarray(points, dtype=np.float64)
+        self._columns = np.asfortranarray(pts).T if columns is None else columns
+        self.dist = np.full(pts.shape[0], np.inf)
         self._squared = spec.kind in _SQUARED_FAMILY
         if self._squared:
-            self._near_sq = np.full(self.points.shape[0], np.inf)
-            self._row_norms = squared_norms(spec, self.points) if row_norms is None else row_norms
+            self._near_sq = np.full(pts.shape[0], np.inf)
+            self._row_norms = squared_norms(spec, pts) if row_norms is None else row_norms
         self._started = False
 
     def add(self, center) -> np.ndarray:
         """Fold in one more center and return dist, which is updated in place."""
         ctr = np.asarray(center, dtype=np.float64).reshape(1, -1)
-        certify, self._started = self._started, True
-        if not self._squared:
-            np.minimum(self.dist, pairwise_distances(self.spec, self.points, ctr)[:, 0],
-                       out=self.dist)
-            return self.dist
-        d = ctr.shape[1]
-        ctr_sq = float(np.einsum("ij,ij->i", ctr, ctr)[0])
-        ctr_minus2 = -2.0 * ctr[0]
+        certify, self._started = self._started and self._squared, True
+        d, n = self._columns.shape
         # Why a skipped row keeps its distance. Notation as in
-        # _squared_ranking, with N = |x|^2 + |c|^2 for the new center c;
-        # g is its GEMM value, D its true squared distance, e_new the exact
-        # kernel's sum of squares for it and e_near that of the row's
-        # nearest center so far (the least such sum, kept beside dist). A
-        # row is skipped when (1 - c)*g - e_near > 3A + 4*tiny. Then
+        # _squared_test, with N = |x|^2 + |c|^2 for the new center c; g is
+        # its GEMM value, D its true squared distance, e_new the exact
+        # core's sum of squares for it and e_near that of the row's nearest
+        # center so far (the least such sum, kept beside dist). A row is
+        # skipped when (1 - c)*g - e_near > 3A + 4*tiny. Then
         # e_near < (1 - c)*g <= 2N + A, so the test's own rounding is a few
         # eps*N, well within 2A, and e_near < (1 - c)*g - A with g > 0
         # holds exactly. By 1 and 2 there, e_new >= (1 - rho)*D
@@ -427,23 +425,24 @@ class NearestDistances:
         # e_new >= (1 + 32*eps)*e_near. By 3 the rounded distances then keep
         # dist(e_new) >= dist(e_near) >= the row's nearest distance, so
         # np.minimum returns the old value. NaN or an overflowing bound
-        # fails the test and sends the row to the exact kernel.
-        n = self.points.shape[0]
+        # fails the test and sends the row to the exact core.
         count = n
         if certify:
-            g = np.empty(n)
-            gemv = _block_rows(_GEMV_BYTES_PER_ROW * d)
-            for start in range(0, n, gemv):
-                np.matmul(self.points[start : start + gemv], ctr_minus2, out=g[start : start + gemv])
+            ctr_sq = float(np.einsum("ij,ij->i", ctr, ctr)[0])
+            g = _product(-2.0 * ctr[0], self._columns)
             g += self._row_norms
             g += ctr_sq
             c, slack = _squared_test(d, self._row_norms, ctr_sq)
             exact = np.flatnonzero(~((1.0 - c) * g - self._near_sq > slack))
             count = exact.size
-        step = _block_rows(ctr.nbytes)
+        step = _block_rows(d)
         for start in range(0, count, step):
             rows = exact[start : start + step] if certify else slice(start, start + step)
-            sq = pairwise_distances(_SQEUCLIDEAN_SPEC, self.points[rows], ctr)[:, 0]
-            self.dist[rows] = np.minimum(self.dist[rows], _from_squared(self.spec, sq))
-            self._near_sq[rows] = np.minimum(self._near_sq[rows], sq)
+            if not self._squared:
+                values = _exact(self.spec, self._columns[:, rows], ctr)[0]
+            else:
+                values = _exact(_SQEUCLIDEAN_SPEC, self._columns[:, rows], ctr)[0]
+                self._near_sq[rows] = np.minimum(self._near_sq[rows], values)
+                values = _from_squared(self.spec, values)
+            self.dist[rows] = np.minimum(self.dist[rows], values)
         return self.dist

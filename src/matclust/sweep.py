@@ -56,18 +56,16 @@ class SweepPlan:
     jobs: int = 1
 
     def validate(self, n_points: int) -> "SweepPlan":
-        if not self.instance_sizes:
+        sizes = self.instance_sizes
+        if not sizes:
             raise ValueError("at least one instance size is required")
-        prev = 0
-        for size in self.instance_sizes:
-            if size < prev:
-                raise ValueError(
-                    f"instance sizes must be non-decreasing, got {self.instance_sizes}"
-                )
-            prev = size
-        if prev > n_points:
+        if min(sizes) < 1:
+            raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
+        if any(later < size for size, later in zip(sizes, sizes[1:])):
+            raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
+        if sizes[-1] > n_points:
             raise ValueError(
-                f"largest instance size ({prev}) exceeds dataset size ({n_points})"
+                f"largest instance size ({sizes[-1]}) exceeds dataset size ({n_points})"
             )
         for p in self.p_values:
             validate_spec(DistanceSpec(DSD, p))

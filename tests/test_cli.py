@@ -222,6 +222,17 @@ class TestOutputs:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("sizes, bad", [(["-5", "100"], "-5"), (["0"], "0")])
+    def test_instance_size_below_one_exits_2_without_outputs(
+        self, dataset_csv, tmp_path, capsys, command, sizes, bad
+    ):
+        out = tmp_path / "run"
+        rc = main([command, "-i", str(dataset_csv), "-o", str(out), "--instances", *sizes])
+        assert rc == 2
+        assert f"instance sizes must be >= 1, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

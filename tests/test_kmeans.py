@@ -186,15 +186,16 @@ class TestInitCentroids:
 
     @staticmethod
     def seeding_rows(monkeypatch, data, cfg):
-        """Rows that k-means++ computes with pairwise_distances."""
+        """Rows that k-means++ computes with the exact core."""
         seen = []
+        core = metrics._exact
 
-        def spy(spec_, rows, centers):
-            seen.append(len(rows))
-            return pairwise_distances(spec_, rows, centers)
+        def spy(spec_, columns, centers):
+            seen.append(columns.shape[1])
+            return core(spec_, columns, centers)
 
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "pairwise_distances", spy)
+            patch.setattr(metrics, "_exact", spy)
             chosen = init_centroids(data, cfg)
         assert chosen.tobytes() == reference_kmeans_pp(data, cfg).tobytes()
         return sum(seen)
@@ -218,6 +219,11 @@ class TestInitCentroids:
         given = np.array([[0.5], [9.5]])
         cfg = ClusteringConfig(k=2, metric=EUCLID, init=INIT_EXPLICIT, initial_centroids=given)
         assert np.array_equal(init_centroids(BLOBS_1D, cfg), given)
+
+
+def exact_argmin(spec, points, centers, row_norms=None, columns=None):
+    """nearest_centers without a ranking: the argmin of every exact distance."""
+    return np.argmin(pairwise_distances(spec, points, centers), axis=1)
 
 
 class TestAssign:
@@ -246,10 +252,7 @@ class TestAssign:
                 cfg = ClusteringConfig(k=4, metric=spec, init=init, seed=3, max_iter=20)
                 model = fit(data, cfg)
                 with monkeypatch.context() as patch:
-                    patch.setattr(
-                        kmeans, "nearest_centers",
-                        lambda s, p, c, _norms: np.argmin(pairwise_distances(s, p, c), axis=1),
-                    )
+                    patch.setattr(kmeans, "nearest_centers", exact_argmin)
                     reference = fit(data, cfg)
                 assert np.array_equal(model.centroids, reference.centroids)
                 assert np.array_equal(model.assignments, reference.assignments)
@@ -414,6 +417,13 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             fit(np.empty((0, 2)), ClusteringConfig(k=1, metric=EUCLID))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_dataset_without_attributes_rejected(self, spec):
+        cfg = ClusteringConfig(k=1, metric=spec)
+        for call in (fit, init_centroids):
+            with pytest.raises(ValueError, match="non-empty"):
+                call(np.empty((5, 0)), cfg)
 
     @pytest.mark.parametrize("k", [2.5, True, "3", np.float64(2.0)])
     def test_non_integer_k_rejected(self, k):

@@ -64,6 +64,26 @@ def vector_triples():
     )
 
 
+def reference_distances(spec, points, centers):
+    """The (rows, k, d) broadcast formula that the exact core replaced,
+    kept as the reference it must equal bitwise."""
+    diffs = np.asarray(points, float)[:, None, :] - np.asarray(centers, float)[None, :, :]
+    if spec.kind in ("euclidean", "sqeuclidean", "dsd"):
+        sq = np.sum(diffs * diffs, axis=-1)
+        if spec.kind == "euclidean":
+            return np.sqrt(sq)
+        return np.power(sq, float(spec.p) / 3.0) if spec.kind == "dsd" else sq
+    a = np.abs(diffs)
+    if spec.kind == "cityblock":
+        return np.sum(a, axis=-1)
+    if spec.kind == "chebyshev":
+        return np.max(a, axis=-1)
+    m = np.max(a, axis=-1, keepdims=True)
+    scaled = np.divide(a, m, out=np.zeros_like(a), where=m > 0)
+    p = float(spec.p)
+    return np.squeeze(m, axis=-1) * np.power(np.sum(scaled**p, axis=-1), 1.0 / p)
+
+
 class TestValidateSpec:
     def test_recommended_operating_point_accepted(self):
         spec = DistanceSpec(DSD, 1.523)
@@ -157,12 +177,18 @@ class TestPairwise:
         assert m.shape == (0, 1)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_zero_dimension_rejected(self, spec):
+        for call in (pairwise_distances, nearest_centers):
+            with pytest.raises(ValueError, match="zero-dimension"):
+                call(spec, np.empty((3, 0)), np.empty((2, 0)))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_bitwise_identical_to_scalar(self, spec, monkeypatch):
         rng = np.random.default_rng(7)
         pts = rng.random((30, 9))
         ctr = rng.random((5, 9))
         # 7-row blocks: the 30 rows span four full blocks and a ragged one
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * ctr.nbytes)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 9)
         m = pairwise_distances(spec, pts, ctr)
         for i in range(pts.shape[0]):
             for j in range(ctr.shape[0]):
@@ -189,9 +215,74 @@ class TestPairwise:
 # the squared-Euclidean family at the ends and the middle of the dsd range
 NEAREST_SPECS = ALL_SPECS + [DistanceSpec(DSD, 1.0), DistanceSpec(DSD, 3.0)]
 
+CORE_SPECS = NEAREST_SPECS + [DistanceSpec("minkowski", p) for p in (1.0, 1.5, 7.0)]
+
+
+@st.composite
+def core_problems(draw, dim):
+    """Signed points and centers of one scale up to overflow, with zero
+    rows, points equal to a center and duplicate points."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(["grid", 0, 8, 150, 200, 307, "max"]))
+    if scale == "grid":
+        values = rng.integers(-2, 3, (n + k, dim)).astype(np.float64)
+    elif scale == "max":  # differences overflow to inf
+        values = rng.uniform(-1.0, 1.0, (n + k, dim)) * np.finfo(np.float64).max
+    else:
+        values = rng.standard_normal((n + k, dim)) * 10.0 ** rng.integers(-scale, scale + 1, (n + k, 1))
+    pts, ctr = values[:n], values[n:]
+    if draw(st.booleans()):
+        pts[0] = ctr[-1]  # a point equal to a center: minkowski's max is 0
+    if draw(st.booleans()):
+        pts[-1] = 0.0
+        ctr[0] = 0.0
+    if n > 1 and draw(st.booleans()):
+        pts[1] = pts[0]
+    return pts, ctr
+
+
+class TestExactCore:
+    def test_row_sum_adds_in_np_sum_order(self):
+        rng = np.random.default_rng(2)
+        for d in range(1, 301):
+            terms = rng.random((6, d)) * 10.0 ** rng.integers(-8, 9, (6, d))
+            expected = np.sum(terms, axis=-1)
+            assert metrics._row_sum(np.ascontiguousarray(terms.T)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 25, 128, 129, 300])
+    @pytest.mark.parametrize("spec", CORE_SPECS, ids=str)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_broadcast_formula(self, spec, dim, data):
+        pts, ctr = data.draw(core_problems(dim))
+        columns = np.asfortranarray(np.concatenate([pts, pts])).T[:, : len(pts)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_distances(spec, pts, ctr)
+            assert pairwise_distances(spec, pts, ctr).tobytes() == expected.tobytes()
+            # a slice of the columns of a larger array, as fit passes them
+            assert metrics._exact(spec, columns, ctr).T.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DistanceSpec("cityblock"), DistanceSpec("chebyshev"), DistanceSpec("minkowski", 1.5),
+         DistanceSpec("minkowski", 3.0)],
+        ids=str,
+    )
+    def test_ties_go_to_the_lowest_index(self, spec):
+        rng = np.random.default_rng(8)
+        pts = rng.integers(-2, 3, (300, 4)).astype(float)
+        ctr = rng.integers(-2, 3, (6, 4)).astype(float)
+        ctr = np.concatenate([ctr, ctr[:2]])  # duplicated centers tie everywhere
+        dist = reference_distances(spec, pts, ctr)
+        tied = np.sum(dist == dist.min(axis=1, keepdims=True), axis=1) > 1
+        assert tied.sum() >= 30
+        assert np.array_equal(nearest_centers(spec, pts, ctr), np.argmin(dist, axis=1))
+
 
 def exact_nearest(spec, pts, ctr):
-    return np.argmin(pairwise_distances(spec, pts, ctr), axis=1)
+    return np.argmin(reference_distances(spec, pts, ctr), axis=1)
 
 
 @st.composite
@@ -240,28 +331,47 @@ class TestNearestCenters:
             (rng.random((10, 4)), rng.random((1, 4))),  # k = 1
             (rng.random((1, 4)), rng.random((3, 4))),  # a single row
         ]
+        far_points = rng.random((20, 4))
+        cases += [
+            # distances one ulp apart: 1.5 and the next float up in cityblock
+            (np.array([[0.0, 0.0], [9.5, 9.5]]),
+             np.array([[1.0, 0.5], [np.nextafter(1.0, 2.0), 0.5], [9.0, 9.0]])),
+            # equal real sums that round apart by summation order
+            (np.zeros((1, 3)), np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [2.0, 2.0, 2.0]])),
+            # all centers but the nearest overflowing
+            (far_points, np.concatenate([far_points[:1], np.full((2, 4), 1e308),
+                                         np.full((1, 4), -1e308)])),
+            # a nearest distance at the largest float, or beyond it
+            (np.array([[np.finfo(np.float64).max, 0.0]]), np.zeros((1, 2))),
+        ]
         for pts, ctr in cases:
-            assert np.array_equal(nearest_centers(spec, pts, ctr), exact_nearest(spec, pts, ctr))
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = reference_distances(spec, pts, ctr)
+            if np.isfinite(expected.min(axis=1)).all():
+                assert np.array_equal(nearest_centers(spec, pts, ctr), np.argmin(expected, axis=1))
+            else:
+                with pytest.raises(ValueError, match="no finite distance"):
+                    nearest_centers(spec, pts, ctr)
 
     @staticmethod
     def exact_rows(monkeypatch, spec, pts, ctr):
-        """Rows that nearest_centers recomputes with pairwise_distances."""
+        """Rows that nearest_centers computes with the exact core."""
+        expected = exact_nearest(spec, pts, ctr)
         seen = []
+        core = metrics._exact
 
-        def spy(spec_, rows, centers):
-            seen.append(len(rows))
-            return pairwise_distances(spec_, rows, centers)
+        def spy(spec_, columns, centers):
+            seen.append(columns.shape[1])
+            return core(spec_, columns, centers)
 
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "pairwise_distances", spy)
+            patch.setattr(metrics, "_exact", spy)
             labels = nearest_centers(spec, pts, ctr)
-        assert np.array_equal(labels, exact_nearest(spec, pts, ctr))
+        assert np.array_equal(labels, expected)
         return sum(seen)
 
     @pytest.mark.parametrize(
-        "spec",
-        [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 1.523),
-         DistanceSpec("cityblock")],
+        "spec", [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 1.523)],
         ids=str,
     )
     def test_fallback_runs_only_where_the_bound_fails(self, spec, monkeypatch):
@@ -271,37 +381,14 @@ class TestNearestCenters:
         assert self.exact_rows(monkeypatch, spec, separated, ctr) == 0
         ties = np.array([[0.5, 0.0], [0.0, 0.5], [0.9, 0.0]])  # two exact ties
         assert self.exact_rows(monkeypatch, spec, ties, ctr) == 2
-        # offset by 1e8 the rounding of the GEMM form exceeds the gaps; the
-        # cityblock bound is relative, so the offset leaves it as it is
-        offset_rows = 0 if spec.kind == "cityblock" else 50
-        assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == offset_rows
-
-    def test_cityblock_near_ties_fall_back(self, monkeypatch):
-        spec = DistanceSpec("cityblock")
-        one_ulp = np.array([[1.0, 0.5], [np.nextafter(1.0, 2.0), 0.5], [9.0, 9.0]])
-        pts = np.array([[0.0, 0.0], [9.5, 9.5]])
-        # distances 1.5 and the next float up: one ulp apart
-        assert pairwise_distances(spec, pts[:1], one_ulp)[0, 1] == np.nextafter(1.5, 2.0)
-        assert self.exact_rows(monkeypatch, spec, pts, one_ulp) == 1
-        # equal real sums that round apart by summation order
-        order = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [2.0, 2.0, 2.0]])
-        assert self.exact_rows(monkeypatch, spec, np.zeros((1, 3)), order) == 1
-        # one center, or all but one overflowing: certified while the nearest is finite
-        rng = np.random.default_rng(11)
-        pts = rng.random((20, 4))
-        assert self.exact_rows(monkeypatch, spec, pts, pts[:1]) == 0
-        far = np.concatenate([pts[:1], np.full((2, 4), 1e308), np.full((1, 4), -1e308)])
-        with np.errstate(over="ignore"):  # the reference's far distances overflow
-            assert self.exact_rows(monkeypatch, spec, pts, far) == 0
-        # the runner-up counts as the largest float, so a nearest distance
-        # that close to overflow is recomputed
-        huge = np.array([[np.finfo(np.float64).max, 0.0]])
-        assert self.exact_rows(monkeypatch, spec, huge, np.zeros((1, 2))) == 1
+        # offset by 1e8 the rounding of the GEMM form exceeds the gaps
+        assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == 50
 
     def test_other_kinds_take_the_exact_path(self, monkeypatch):
         rng = np.random.default_rng(7)
         pts, ctr = rng.random((20, 3)), rng.random((4, 3))
-        for spec in (DistanceSpec("chebyshev"), DistanceSpec("minkowski", 2.5)):
+        for spec in (DistanceSpec("cityblock"), DistanceSpec("chebyshev"),
+                     DistanceSpec("minkowski", 2.5)):
             assert self.exact_rows(monkeypatch, spec, pts, ctr) == 20
 
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
@@ -310,8 +397,10 @@ class TestNearestCenters:
         pts = rng.integers(0, 3, (30, 3)).astype(float)
         pts[::4] = rng.random((8, 3))
         ctr = rng.integers(0, 3, (5, 3)).astype(float)
-        # 7-row blocks: the 30 rows span four full blocks and a ragged one
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * ctr.nbytes)
+        # 7-row blocks: the 30 rows span four full blocks and a ragged one,
+        # and products of 3 rows leave a ragged one in each block
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 3)
+        monkeypatch.setattr(metrics, "_PRODUCT_BYTES", 3 * 8 * 3 * 16)
         assert np.array_equal(nearest_centers(spec, pts, ctr), exact_nearest(spec, pts, ctr))
 
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
@@ -324,6 +413,11 @@ class TestNearestCenters:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
             nearest_centers(spec, huge, -huge)
 
+    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
+    def test_no_points(self, spec):
+        labels = nearest_centers(spec, np.empty((0, 3)), np.ones((2, 3)))
+        assert labels.shape == (0,)
+
     def test_zero_centers_rejected(self):
         with pytest.raises(ValueError, match="at least one centroid"):
             nearest_centers(DistanceSpec("euclidean"), [[1.0]], np.empty((0, 1)))
@@ -332,21 +426,22 @@ class TestNearestCenters:
 class TestNearestDistances:
     @staticmethod
     def exact_rows(monkeypatch, spec, pts, centers):
-        """Rows each add recomputes with pairwise_distances; checks dist after each."""
+        """Rows each add computes with the exact core; checks dist after each."""
         seen = []
+        core = metrics._exact
 
-        def spy(spec_, rows, ctr):
-            seen[-1] += len(rows)
-            return pairwise_distances(spec_, rows, ctr)
+        def spy(spec_, columns, ctr):
+            seen[-1] += columns.shape[1]
+            return core(spec_, columns, ctr)
 
         nearest = NearestDistances(spec, pts)
-        with monkeypatch.context() as patch:
-            patch.setattr(metrics, "pairwise_distances", spy)
-            for i in range(len(centers)):
-                seen.append(0)
+        for i in range(len(centers)):
+            reference = np.min(reference_distances(spec, pts, centers[: i + 1]), axis=1)
+            seen.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_exact", spy)
                 dist = nearest.add(centers[i])
-                reference = np.min(pairwise_distances(spec, pts, centers[: i + 1]), axis=1)
-                assert dist.tobytes() == reference.tobytes()
+            assert dist.tobytes() == reference.tobytes()
         return seen
 
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
@@ -356,7 +451,7 @@ class TestNearestDistances:
         pts, ctr = problem
         nearest = NearestDistances(spec, pts)
         for i, c in enumerate(ctr):
-            reference = np.min(pairwise_distances(spec, pts, ctr[: i + 1]), axis=1)
+            reference = np.min(reference_distances(spec, pts, ctr[: i + 1]), axis=1)
             assert nearest.add(c).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
@@ -366,12 +461,12 @@ class TestNearestDistances:
         pts[::3] = rng.random((10, 3))
         ctr = pts[rng.integers(0, 30, 6)]
         # 7-row exact blocks and 2-row products: ragged blocks everywhere
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 24)
-        monkeypatch.setattr(metrics, "_GEMV_BYTES_PER_ROW", 7 * 24 // 2 // 3)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 3)
+        monkeypatch.setattr(metrics, "_PRODUCT_BYTES", 2 * 8 * 3 * 16)
         given_norms = NearestDistances(spec, pts, squared_norms(spec, pts))
         own_norms = NearestDistances(spec, pts)
         for i, c in enumerate(ctr):
-            reference = np.min(pairwise_distances(spec, pts, ctr[: i + 1]), axis=1)
+            reference = np.min(reference_distances(spec, pts, ctr[: i + 1]), axis=1)
             assert given_norms.add(c).tobytes() == reference.tobytes()
             assert own_norms.add(c).tobytes() == reference.tobytes()
 
@@ -417,7 +512,7 @@ class TestNearestDistances:
         nearest = NearestDistances(spec, huge)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, c in enumerate(huge):
-                reference = np.min(pairwise_distances(spec, huge, huge[: i + 1]), axis=1)
+                reference = np.min(reference_distances(spec, huge, huge[: i + 1]), axis=1)
                 assert nearest.add(c).tobytes() == reference.tobytes()
 
 

@@ -50,6 +50,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="non-decreasing"):
             run_p_sweep(small_plan(instance_sizes=(120, 60)), small_data)
 
+    @pytest.mark.parametrize("sizes, bad", [((-5, 60), -5), ((0,), 0), ((60, 0, 120), 0)])
+    def test_size_below_one_named(self, small_data, sizes, bad):
+        with pytest.raises(ValueError, match=rf"instance sizes must be >= 1, got {bad} in"):
+            run_p_sweep(small_plan(instance_sizes=sizes), small_data)
+
     def test_oversized_instance_rejected(self, small_data):
         with pytest.raises(ValueError, match="exceeds dataset size"):
             run_p_sweep(small_plan(instance_sizes=(60, 500)), small_data)
