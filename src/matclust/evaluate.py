@@ -95,11 +95,16 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     """Boolean flag per point; True marks a point excluded as an outlier."""
     policy.validate()
     data = np.asarray(dataset, dtype=np.float64)
+    labels = np.asarray(model.assignments)
+    if data.shape[0] != labels.shape[0]:
+        raise ValueError(
+            f"the dataset has {data.shape[0]} rows but the model assigns "
+            f"{labels.shape[0]} points"
+        )
     flags = np.zeros(data.shape[0], dtype=bool)
     if policy.kind == POLICY_NONE:
         return flags
 
-    labels = np.asarray(model.assignments)
     for j in range(model.centroids.shape[0]):
         members = labels == j
         if not members.any():

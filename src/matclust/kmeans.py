@@ -8,15 +8,11 @@ is a heuristic without a monotonicity guarantee, so termination relies on
 the unchanged-assignment check and the iteration cap.
 
 k-means++ seeding keeps each point's distance to its nearest chosen
-centroid in a metrics.NearestDistances and adds one centroid per step; for
-euclidean, sqeuclidean and dsd a GEMM bound skips the points that the
-newest centroid provably does not move nearer. fit builds a per-fit
-workspace once: the row norms for seeding and assignment; the data's
-columns as contiguous rows, which seeding and assignment hand to the
-metrics module's exact core and GEMM ranking and from which the centroids
-are summed; and one residual buffer for the SSE. Each is an optional argument
-of init_centroids, assign, update_centroids and sse, which compute it
-themselves when it is not given, with bitwise the same result.
+centroid and folds in the n exact distances to each new centroid with
+np.minimum. fit holds the data column-major, so each attribute's values
+are contiguous for the metrics module's exact core and for the centroid
+sums, and computes the row norms of assign's certificate once. Every step
+gives bitwise the same result for data in any layout.
 
 Everything is seeded and single-threaded, so a given (dataset, config)
 always produces a bitwise-identical model.
@@ -33,7 +29,6 @@ import numpy as np
 from .data import json_text
 from .metrics import (
     DistanceSpec,
-    NearestDistances,
     nearest_centers,
     pairwise_distances,
     squared_norms,
@@ -119,14 +114,8 @@ def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
     validate_spec(config.metric)
 
 
-def init_centroids(
-    dataset, config: ClusteringConfig, row_norms=None, columns=None
-) -> np.ndarray:
-    """Choose the k initial centroids according to config.init.
-
-    row_norms, if given, must be metrics.squared_norms(config.metric, dataset)
-    and columns np.asfortranarray(dataset).T.
-    """
+def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
+    """Choose the k initial centroids according to config.init."""
     data = np.asarray(dataset, dtype=np.float64)
     _check_config(data, config)
     rng = np.random.default_rng(config.seed)
@@ -151,12 +140,14 @@ def init_centroids(
     n = data.shape[0]
     chosen = np.empty(config.k, dtype=np.intp)
     chosen[0] = rng.integers(0, n)
-    nearest = NearestDistances(config.metric, data, row_norms, columns)
+    nearest = np.full(n, np.inf)
     for i in range(1, config.k):
         # an overflow, or the NaN it leads to, makes the total non-finite,
         # which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = nearest.add(data[chosen[i - 1]]) ** 2
+            newest = pairwise_distances(config.metric, data, data[chosen[i - 1]][None])
+            nearest = np.minimum(nearest, newest[:, 0])
+            weights = nearest**2
             total = weights.sum()
         if not np.isfinite(total):
             raise ValueError(
@@ -170,13 +161,12 @@ def init_centroids(
     return data[chosen].copy()
 
 
-def assign(dataset, centroids, metric: DistanceSpec, row_norms=None, columns=None) -> np.ndarray:
+def assign(dataset, centroids, metric: DistanceSpec, row_norms=None) -> np.ndarray:
     """Map each point to its nearest centroid; ties go to the lowest index.
 
-    row_norms, if given, must be metrics.squared_norms(metric, dataset) and
-    columns np.asfortranarray(dataset).T.
+    row_norms, if given, must be metrics.squared_norms(metric, dataset).
     """
-    return nearest_centers(metric, dataset, centroids, row_norms, columns)
+    return nearest_centers(metric, dataset, centroids, row_norms)
 
 
 def update_centroids(
@@ -185,7 +175,6 @@ def update_centroids(
     k: int,
     prev_centroids=None,
     metric: DistanceSpec | None = None,
-    columns=None,
 ) -> np.ndarray:
     """Recompute each centroid as the mean of its assigned points.
 
@@ -193,10 +182,7 @@ def update_centroids(
     independent of any caller-side partitioning. An empty cluster is
     re-seeded with the point farthest (under the fit metric) from its former
     centroid, which requires prev_centroids and metric; a ValueError asks
-    for normalized data when those distances overflow. columns, if given,
-    must be the dataset's columns as contiguous rows,
-    np.asfortranarray(dataset).T, which a caller that updates many times
-    builds once.
+    for normalized data when those distances overflow.
     """
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(assignments)
@@ -204,8 +190,7 @@ def update_centroids(
         raise ValueError("one assignment per point is required")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"assignments must lie in [0, {k})")
-    if columns is None:
-        columns = np.asfortranarray(data).T
+    columns = np.asfortranarray(data).T
 
     # each bin adds its points in index order from 0.0, as np.add.at does,
     # so the sums are bitwise the same; an overflow gives inf without a
@@ -236,21 +221,19 @@ def update_centroids(
     return centroids
 
 
-def sse(dataset, centroids, assignments, out=None) -> float:
+def sse(dataset, centroids, assignments) -> float:
     """Sum of squared Euclidean errors between points and their centroids.
 
-    Always squared Euclidean, regardless of the metric used to fit. out, if
-    given, is a float64 array of the dataset's shape that holds the
-    residuals, so a caller that evaluates many times allocates it once.
+    Always squared Euclidean, regardless of the metric used to fit.
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
     labels = np.asarray(assignments)
     if labels.size and (labels.min() < 0 or labels.max() >= ctr.shape[0]):
         raise ValueError(f"assignments must lie in [0, {ctr.shape[0]})")
-    # in range, so "clip" changes no index; it spares np.take the buffered
-    # copy that "raise" makes of out
-    resid = np.take(ctr, labels, axis=0, out=out, mode="clip")
+    # row-major residuals, so the sum adds them in one order for data in
+    # any layout
+    resid = ctr[labels]
     np.subtract(data, resid, out=resid)
     resid *= resid
     return float(np.sum(resid))
@@ -259,7 +242,7 @@ def sse(dataset, centroids, assignments, out=None) -> float:
 def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     """Run Lloyd iterations until assignments stabilize, the maximum
     componentwise centroid shift drops to shift_tol, or max_iter is hit."""
-    data = np.asarray(dataset, dtype=np.float64)
+    data = np.asfortranarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty 2-D array")
     finite = np.isfinite(data)
@@ -267,12 +250,8 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
         row = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
 
-    # the per-fit workspace: every quantity that depends on the data alone
-    # is computed once, and the residual buffer is allocated once
     row_norms = squared_norms(config.metric, data)
-    columns = np.asfortranarray(data).T
-    centroids = init_centroids(data, config, row_norms=row_norms, columns=columns)
-    resid = np.empty_like(data)
+    centroids = init_centroids(data, config)
     labels = None
     reason = MAX_ITER
     iterations = 0
@@ -280,13 +259,12 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
 
     for _ in range(config.max_iter):
         iterations += 1
-        new_labels = assign(data, centroids, config.metric, row_norms=row_norms, columns=columns)
+        new_labels = assign(data, centroids, config.metric, row_norms=row_norms)
         new_centroids = update_centroids(
-            data, new_labels, config.k, prev_centroids=centroids, metric=config.metric,
-            columns=columns,
+            data, new_labels, config.k, prev_centroids=centroids, metric=config.metric
         )
         with np.errstate(over="ignore"):
-            history.append(sse(data, new_centroids, new_labels, out=resid))
+            history.append(sse(data, new_centroids, new_labels))
         if not np.isfinite(history[-1]):
             raise ValueError("the SSE overflows float64; normalize the data")
         shift = float(np.max(np.abs(new_centroids - centroids)))

@@ -8,10 +8,12 @@ p > 1.5 the collinear points 0, 1, 2 in one dimension already violate it.
 
 Every distance comes from one exact core, _exact, which works on the
 points' columns, a (d, m) array: per center a few numpy calls over m
-contiguous values each, with results written center-major as a (k, m)
-block. pairwise_distances, nearest_centers and NearestDistances all use
-it. The euclidean family first ranks the centers by a matrix product; only
-rows its rounding bound leaves open get the exact core.
+values each, with results written center-major as a (k, m) block. Those
+values are contiguous when the points are held column-major, as fit holds
+them; row-major points work too, more slowly. pairwise_distances and
+nearest_centers both use the core, and both validate the spec first. For
+the euclidean family, nearest_centers first ranks the centers by a matrix
+product; only rows its rounding bound leaves open get the exact core.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ METRIC_KINDS = (EUCLIDEAN, SQEUCLIDEAN, CITYBLOCK, CHEBYSHEV, MINKOWSKI, DSD)
 _PARAMETRIC = frozenset({MINKOWSKI, DSD})
 
 # nondecreasing functions of the squared Euclidean distance: they share its
-# argmin, and their exact kernel is the sum of squares followed by _from_squared
+# argmin, and their exact kernel is the sum of squares, then a root or power
 _SQUARED_FAMILY = frozenset({EUCLIDEAN, SQEUCLIDEAN, DSD})
 
 # The core works through the points in blocks whose (d, rows) difference
@@ -106,14 +108,14 @@ _PRODUCT_BYTES = 4 << 20
 
 
 def _product(left: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """left @ columns for a (k, d) or (d,) left and (d, m) columns, by
-    one BLAS call per slice of columns of the size above."""
-    out = np.empty(left.shape[:-1] + columns.shape[1:])
-    k = left.shape[0] if left.ndim == 2 else 1
-    step = max(1, _PRODUCT_BYTES // (8 * columns.shape[0] * max(k, 16)))
-    for start in range(0, columns.shape[1], step):
+    """left @ columns for a (k, d) left and (d, m) columns, by one BLAS
+    call per slice of columns of the size above."""
+    k, (d, m) = left.shape[0], columns.shape
+    out = np.empty((k, m))
+    step = max(1, _PRODUCT_BYTES // (8 * d * max(k, 16)))
+    for start in range(0, m, step):
         cols = slice(start, start + step)
-        np.matmul(left, columns[:, cols], out=out[..., cols])
+        np.matmul(left, columns[:, cols], out=out[:, cols])
     return out
 
 
@@ -159,9 +161,9 @@ def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.n
     The one exact core: every distance in this module is computed here.
     Per center it subtracts the center from the columns, takes abs, the
     square or minkowski's scaled power in place and folds the d rows, by
-    _row_sum or, for chebyshev, a max. Each step computes the same values
-    as the (rows, k, d) broadcast formula, so the results are bitwise its
-    own.
+    _row_sum or, for chebyshev, a max; euclidean and dsd then take the
+    root or power of the sums. Each step computes the same values as the
+    (rows, k, d) broadcast formula, so the results are bitwise its own.
     """
     d, m = columns.shape
     out = np.empty((centers.shape[0], m))
@@ -186,17 +188,11 @@ def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.n
             np.multiply(top, np.power(_row_sum(diff), 1.0 / p), out=out[j])
         else:
             out[j] = _row_sum(diff)
-    return _from_squared(spec, out)
-
-
-def _from_squared(spec: DistanceSpec, sq: np.ndarray) -> np.ndarray:
-    """The distance of a squared-family kind from the exact kernel's sum of
-    squares, in place; other kinds pass through."""
-    if spec.kind == EUCLIDEAN:
-        np.sqrt(sq, out=sq)
-    elif spec.kind == DSD:
-        np.power(sq, float(spec.p) / 3.0, out=sq)
-    return sq
+    if kind == EUCLIDEAN:
+        np.sqrt(out, out=out)
+    elif kind == DSD:
+        np.power(out, float(spec.p) / 3.0, out=out)
+    return out
 
 
 def distance(spec: DistanceSpec, x, y) -> float:
@@ -232,8 +228,10 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
     """Distance matrix: entry (i, j) is distance(spec, points[i], centers[j]).
 
     Entries are bitwise identical to the scalar op applied entrywise: each
-    is reduced on its own, whichever row block it falls in.
+    is reduced on its own, whichever row block it falls in. Raises
+    ValueError for an invalid spec.
     """
+    validate_spec(spec)
     pts, ctr = _point_arrays(points, centers)
     out = np.empty((pts.shape[0], ctr.shape[0]))
     step = _block_rows(ctr.shape[1])
@@ -249,10 +247,10 @@ _MAX = float(np.finfo(np.float64).max)
 
 
 def squared_norms(spec: DistanceSpec, points) -> np.ndarray | None:
-    """|x|^2 of each point, which the euclidean, sqeuclidean and dsd
-    certificates use; None for the other kinds, which need none. A caller
-    that runs several of them on one dataset computes it once and passes it
-    on."""
+    """|x|^2 of each point, which nearest_centers' certificate uses for
+    euclidean, sqeuclidean and dsd; None for the other kinds, which need
+    none. A caller that assigns one dataset many times computes it once
+    and passes it on."""
     if spec.kind not in _SQUARED_FAMILY:
         return None
     pts = np.asarray(points, dtype=np.float64)
@@ -322,9 +320,7 @@ def _two_smallest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # ranking it only sends a row to the exact core, and a non-finite nearest
 # distance from the exact core is rejected.
 @np.errstate(over="ignore", invalid="ignore")
-def nearest_centers(
-    spec: DistanceSpec, points, centers, row_norms=None, columns=None
-) -> np.ndarray:
+def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.ndarray:
     """Index of each point's nearest center, ties to the lowest index.
 
     Bitwise equal to np.argmin(pairwise_distances(spec, points, centers),
@@ -332,15 +328,15 @@ def nearest_centers(
     ranked by one matrix product, -2C @ columns plus the squared norms; only
     rows whose top-two gap is within the rounding bound of _squared_test
     get the exact core. cityblock, chebyshev and minkowski are computed
-    exactly. row_norms, if given, must be squared_norms(spec, points) and
-    columns np.asfortranarray(points).T. Raises ValueError when a point's
-    nearest distance is not finite.
+    exactly. row_norms, if given, must be squared_norms(spec, points).
+    Raises ValueError for an invalid spec and when a point's nearest
+    distance is not finite.
     """
+    validate_spec(spec)
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
         raise ValueError("at least one centroid is required")
-    if columns is None:
-        columns = np.asfortranarray(pts).T
+    columns = np.asfortranarray(pts).T
     n = pts.shape[0]
     labels = np.empty(n, dtype=np.intp)
     count = n
@@ -376,73 +372,3 @@ def nearest_centers(
             )
         labels[rows] = nearest
     return labels
-
-
-_SQEUCLIDEAN_SPEC = DistanceSpec(SQEUCLIDEAN)
-
-
-class NearestDistances:
-    """Each point's distance to the nearest of the centers added so far.
-
-    add(center) folds in one more center: after any sequence of additions,
-    dist is bitwise np.min(pairwise_distances(spec, points, added), axis=1),
-    inf before the first. chebyshev, minkowski and cityblock compute every
-    row of every center exactly. The euclidean family keeps, beside dist,
-    the exact core's sum of squares to each row's nearest center; from the
-    second center on, a row is computed exactly only where the GEMM bound
-    cannot prove the new center farther, because np.minimum would keep the
-    old distance anyway. row_norms, if given, must be
-    squared_norms(spec, points) and columns np.asfortranarray(points).T.
-    """
-
-    def __init__(self, spec: DistanceSpec, points, row_norms=None, columns=None) -> None:
-        self.spec = spec
-        pts = np.asarray(points, dtype=np.float64)
-        self._columns = np.asfortranarray(pts).T if columns is None else columns
-        self.dist = np.full(pts.shape[0], np.inf)
-        self._squared = spec.kind in _SQUARED_FAMILY
-        if self._squared:
-            self._near_sq = np.full(pts.shape[0], np.inf)
-            self._row_norms = squared_norms(spec, pts) if row_norms is None else row_norms
-        self._started = False
-
-    def add(self, center) -> np.ndarray:
-        """Fold in one more center and return dist, which is updated in place."""
-        ctr = np.asarray(center, dtype=np.float64).reshape(1, -1)
-        certify, self._started = self._started and self._squared, True
-        d, n = self._columns.shape
-        # Why a skipped row keeps its distance. Notation as in
-        # _squared_test, with N = |x|^2 + |c|^2 for the new center c; g is
-        # its GEMM value, D its true squared distance, e_new the exact
-        # core's sum of squares for it and e_near that of the row's nearest
-        # center so far (the least such sum, kept beside dist). A row is
-        # skipped when (1 - c)*g - e_near > 3A + 4*tiny. Then
-        # e_near < (1 - c)*g <= 2N + A, so the test's own rounding is a few
-        # eps*N, well within 2A, and e_near < (1 - c)*g - A with g > 0
-        # holds exactly. By 1 and 2 there, e_new >= (1 - rho)*D
-        # >= (1 - rho)*(g - A) >= (1 - rho)*g - A, and since c >= rho +
-        # 32*eps, (1 - rho)*g >= (1 + 32*eps)*(1 - c)*g; together
-        # e_new >= (1 + 32*eps)*e_near. By 3 the rounded distances then keep
-        # dist(e_new) >= dist(e_near) >= the row's nearest distance, so
-        # np.minimum returns the old value. NaN or an overflowing bound
-        # fails the test and sends the row to the exact core.
-        count = n
-        if certify:
-            ctr_sq = float(np.einsum("ij,ij->i", ctr, ctr)[0])
-            g = _product(-2.0 * ctr[0], self._columns)
-            g += self._row_norms
-            g += ctr_sq
-            c, slack = _squared_test(d, self._row_norms, ctr_sq)
-            exact = np.flatnonzero(~((1.0 - c) * g - self._near_sq > slack))
-            count = exact.size
-        step = _block_rows(d)
-        for start in range(0, count, step):
-            rows = exact[start : start + step] if certify else slice(start, start + step)
-            if not self._squared:
-                values = _exact(self.spec, self._columns[:, rows], ctr)[0]
-            else:
-                values = _exact(_SQEUCLIDEAN_SPEC, self._columns[:, rows], ctr)[0]
-                self._near_sq[rows] = np.minimum(self._near_sq[rows], values)
-                values = _from_squared(self.spec, values)
-            self.dist[rows] = np.minimum(self.dist[rows], values)
-        return self.dist

@@ -47,4 +47,7 @@ def test_traced_fit_records_pairwise_distances(tmp_path, monkeypatch):
     layers, problems = traced.layer_metrics(tracer.spans)
     assert layers["metrics.pairwise_distances_calls"] >= 2
     assert layers["metrics.pairwise_distances_s"] > 0
+    # k-means++ computes n distances per step after the first, through the
+    # binding the trace wraps: (k - 1) * n per fit
+    assert layers["kmeans.init_distance_evals"] == 2 * (3 - 1) * 200
     assert [p for p in problems if "pairwise_distances" in p] == []

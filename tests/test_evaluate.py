@@ -188,6 +188,16 @@ class TestEvaluate:
         report = evaluate(data, model, OutlierPolicy(kind="sigma", c=1.5))
         assert report.cluster_accuracy_pct + report.outlier_pct == 100.0
 
+    @pytest.mark.parametrize("rows", [10, 100])
+    @pytest.mark.parametrize("kind", ["none", "sigma", "quantile"])
+    def test_dataset_of_another_length_rejected(self, rows, kind):
+        rng = np.random.default_rng(31)
+        model = fitted(rng.random((50, 2)), k=2)
+        match = rf"the dataset has {rows} rows but the model assigns 50 points"
+        for run in (evaluate, flag_outliers):
+            with pytest.raises(ValueError, match=match):
+                run(rng.random((rows, 2)), model, OutlierPolicy(kind=kind))
+
 
 class TestReportSerialization:
     def make_report(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matclust import kmeans, metrics
+from matclust import kmeans
 from matclust.kmeans import (
     CENTROID_SHIFT,
     INIT_EXPLICIT,
@@ -22,7 +22,13 @@ from matclust.kmeans import (
     sse,
     update_centroids,
 )
-from matclust.metrics import METRIC_KINDS, DistanceSpec, pairwise_distances, squared_norms
+from matclust.metrics import (
+    METRIC_KINDS,
+    DistanceSpec,
+    nearest_centers,
+    pairwise_distances,
+    squared_norms,
+)
 
 EUCLID = DistanceSpec("euclidean")
 BLOBS_1D = np.array([[0.0], [1.0], [9.0], [10.0]])
@@ -181,39 +187,6 @@ class TestInitCentroids:
         cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
         expected = reference_kmeans_pp(data, cfg)
         assert init_centroids(data, cfg).tobytes() == expected.tobytes()
-        given_norms = init_centroids(data, cfg, row_norms=squared_norms(spec, data))
-        assert given_norms.tobytes() == expected.tobytes()
-
-    @staticmethod
-    def seeding_rows(monkeypatch, data, cfg):
-        """Rows that k-means++ computes with the exact core."""
-        seen = []
-        core = metrics._exact
-
-        def spy(spec_, columns, centers):
-            seen.append(columns.shape[1])
-            return core(spec_, columns, centers)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_exact", spy)
-            chosen = init_centroids(data, cfg)
-        assert chosen.tobytes() == reference_kmeans_pp(data, cfg).tobytes()
-        return sum(seen)
-
-    @pytest.mark.parametrize(
-        "spec", [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec("dsd", 1.523)],
-        ids=str,
-    )
-    def test_kmeans_pp_computes_few_rows_exactly(self, spec, monkeypatch):
-        rng = np.random.default_rng(23)
-        n, k = 800, 16
-        means = rng.random((k, 3)) * 10.0
-        data = means[rng.integers(0, k, n)] + 0.05 * rng.random((n, 3))
-        cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=5)
-        # every row for the first centroid, then mostly the rows each new one moves nearer
-        assert n <= self.seeding_rows(monkeypatch, data, cfg) < 4 * n
-        # offset by 1e8 the GEMM bound proves nothing: every row of every step
-        assert self.seeding_rows(monkeypatch, data + 1e8, cfg) == (k - 1) * n
 
     def test_explicit_echoes_user_centroids(self):
         given = np.array([[0.5], [9.5]])
@@ -221,7 +194,7 @@ class TestInitCentroids:
         assert np.array_equal(init_centroids(BLOBS_1D, cfg), given)
 
 
-def exact_argmin(spec, points, centers, row_norms=None, columns=None):
+def exact_argmin(spec, points, centers, row_norms=None):
     """nearest_centers without a ranking: the argmin of every exact distance."""
     return np.argmin(pairwise_distances(spec, points, centers), axis=1)
 
@@ -345,22 +318,54 @@ class TestSse:
     def test_two_blob_optimum_is_one(self):
         assert sse(BLOBS_1D, [[0.5], [9.5]], [0, 0, 1, 1]) == 1.0
 
-    def test_buffer_and_columns_give_the_same_bits(self):
-        rng = np.random.default_rng(29)
-        data = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-3, 4, 7)
-        labels = rng.integers(0, 5, 300).astype(np.int8)
-        ctr = rng.random((5, 7))
-        buf = np.full_like(data, np.nan)
-        columns = np.asfortranarray(data).T
-        for _ in range(2):  # a reused buffer holds the last call's residuals
-            assert sse(data, ctr, labels, out=buf) == float(np.sum((data - ctr[labels]) ** 2))
-        assert (update_centroids(data, labels, 5, columns=columns).tobytes()
-                == update_centroids(data, labels, 5).tobytes())
-
     @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
     def test_out_of_range_assignment_rejected(self, labels):
         with pytest.raises(ValueError, match=r"assignments must lie in \[0, 2\)"):
             sse(np.zeros((2, 1)), np.zeros((2, 1)), labels)
+
+
+def layouts(data: np.ndarray) -> list[np.ndarray]:
+    """data row-major, column-major and as a strided view of a larger array."""
+    wide = np.zeros((2 * data.shape[0], data.shape[1] + 3))
+    wide[::2, 1:-2] = data
+    return [np.ascontiguousarray(data), np.asfortranarray(data), wide[::2, 1:-2]]
+
+
+class TestLayouts:
+    @staticmethod
+    def datasets():
+        rng = np.random.default_rng(29)
+        spread = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-3, 4, 7)
+        # ties everywhere, and an offset at which the GEMM ranking proves little
+        grid = rng.integers(0, 4, (300, 7)) + 1e6
+        return spread, grid
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_fit_gives_the_same_model(self, spec):
+        for data in self.datasets():
+            for init in (INIT_KMEANS_PP, INIT_RANDOM):
+                cfg = ClusteringConfig(k=5, metric=spec, init=init, seed=4, max_iter=20)
+                models = [fit(view, cfg) for view in layouts(data)]
+                assert len({(m.to_json(), m.sse_per_iter) for m in models}) == 1
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_steps_give_the_same_bits(self, spec):
+        rng = np.random.default_rng(31)
+        for data in self.datasets():
+            ctr = data[:5] + 0.25
+            labels = rng.integers(0, 5, data.shape[0])
+            results = set()
+            for view in layouts(data):
+                results.add((
+                    pairwise_distances(spec, view, ctr).tobytes(),
+                    nearest_centers(spec, view, ctr).tobytes(),
+                    nearest_centers(spec, view, ctr, squared_norms(spec, view)).tobytes(),
+                    update_centroids(view, labels, 5).tobytes(),
+                    # cluster 4 is empty and re-seeded under the metric
+                    update_centroids(view, labels % 4, 5, prev_centroids=ctr, metric=spec).tobytes(),
+                    sse(view, ctr, labels),
+                ))
+            assert len(results) == 1
 
 
 class TestFit:

@@ -10,7 +10,6 @@ from matclust.metrics import (
     DSD,
     METRIC_KINDS,
     DistanceSpec,
-    NearestDistances,
     distance,
     nearest_centers,
     pairwise_distances,
@@ -117,6 +116,20 @@ class TestValidateSpec:
     def test_p_on_nonparametric_kind_rejected(self):
         with pytest.raises(ValueError, match="does not take"):
             validate_spec(DistanceSpec("euclidean", 2.0))
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [(DistanceSpec("euclidian"), "unknown metric kind 'euclidian'"),
+         (DistanceSpec(DSD, 0.5), "dsd parameter p below 1"),
+         (DistanceSpec("minkowski", 0.5), "minkowski parameter p below 1")],
+        ids=["misspelled-kind", "dsd-p-0.5", "minkowski-p-0.5"],
+    )
+    def test_distance_functions_reject_invalid_spec(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            distance(spec, (0.0, 0.0), (3.0, 4.0))
+        for call in (pairwise_distances, nearest_centers):
+            with pytest.raises(ValueError, match=match):
+                call(spec, [[0.0, 0.0]], [[3.0, 4.0]])
 
 
 class TestDistanceExamples:
@@ -261,7 +274,7 @@ class TestExactCore:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = reference_distances(spec, pts, ctr)
             assert pairwise_distances(spec, pts, ctr).tobytes() == expected.tobytes()
-            # a slice of the columns of a larger array, as fit passes them
+            # a slice of the columns of a larger array, as in a block of column-major points
             assert metrics._exact(spec, columns, ctr).T.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -421,99 +434,6 @@ class TestNearestCenters:
     def test_zero_centers_rejected(self):
         with pytest.raises(ValueError, match="at least one centroid"):
             nearest_centers(DistanceSpec("euclidean"), [[1.0]], np.empty((0, 1)))
-
-
-class TestNearestDistances:
-    @staticmethod
-    def exact_rows(monkeypatch, spec, pts, centers):
-        """Rows each add computes with the exact core; checks dist after each."""
-        seen = []
-        core = metrics._exact
-
-        def spy(spec_, columns, ctr):
-            seen[-1] += columns.shape[1]
-            return core(spec_, columns, ctr)
-
-        nearest = NearestDistances(spec, pts)
-        for i in range(len(centers)):
-            reference = np.min(reference_distances(spec, pts, centers[: i + 1]), axis=1)
-            seen.append(0)
-            with monkeypatch.context() as patch:
-                patch.setattr(metrics, "_exact", spy)
-                dist = nearest.add(centers[i])
-            assert dist.tobytes() == reference.tobytes()
-        return seen
-
-    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
-    @settings(max_examples=60, deadline=None)
-    @given(problem=assignment_problems())
-    def test_equals_min_of_exact_distances(self, spec, problem):
-        pts, ctr = problem
-        nearest = NearestDistances(spec, pts)
-        for i, c in enumerate(ctr):
-            reference = np.min(reference_distances(spec, pts, ctr[: i + 1]), axis=1)
-            assert nearest.add(c).tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
-    def test_row_norms_and_blocks(self, spec, monkeypatch):
-        rng = np.random.default_rng(4)
-        pts = rng.integers(0, 3, (30, 3)).astype(float)
-        pts[::3] = rng.random((10, 3))
-        ctr = pts[rng.integers(0, 30, 6)]
-        # 7-row exact blocks and 2-row products: ragged blocks everywhere
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 3)
-        monkeypatch.setattr(metrics, "_PRODUCT_BYTES", 2 * 8 * 3 * 16)
-        given_norms = NearestDistances(spec, pts, squared_norms(spec, pts))
-        own_norms = NearestDistances(spec, pts)
-        for i, c in enumerate(ctr):
-            reference = np.min(reference_distances(spec, pts, ctr[: i + 1]), axis=1)
-            assert given_norms.add(c).tobytes() == reference.tobytes()
-            assert own_norms.add(c).tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize(
-        "spec", [DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 1.523),
-                 DistanceSpec(DSD, 1.0), DistanceSpec(DSD, 3.0)], ids=str,
-    )
-    def test_exact_rows_only_where_the_bound_fails(self, spec, monkeypatch):
-        rng = np.random.default_rng(5)
-        ctr = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        separated = ctr[rng.integers(0, 4, 200)] + 0.01 * rng.random((200, 2))
-        # the first center is computed for every row, and each later one only
-        # for the rows it moves nearer
-        seen = self.exact_rows(monkeypatch, spec, separated, ctr)
-        dist = pairwise_distances(spec, separated, ctr)
-        nearer = [int(np.sum(dist[:, i] < dist[:, :i].min(axis=1))) for i in range(1, 4)]
-        assert seen == [200, *nearer]
-        assert sum(seen) < 3 * 200
-        # offset by 1e8 the rounding of the GEMM form exceeds every gap
-        seen = self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8)
-        assert seen == [200] * 4
-
-    @pytest.mark.parametrize("spec", [DistanceSpec("euclidean"), DistanceSpec(DSD, 1.0)], ids=str)
-    def test_relative_margin(self, spec, monkeypatch):
-        # a new center whose squared distance is 1 + 30 eps against a
-        # nearest of 1 is within (d + 36) eps + 3A, so it is recomputed;
-        # at 1 + 60 eps it is proven no nearer
-        eps = np.finfo(np.float64).eps
-        pts = np.zeros((1, 1))
-        assert self.exact_rows(monkeypatch, spec, pts, np.array([[1.0], [1.0 + 15 * eps]])) == [1, 1]
-        assert self.exact_rows(monkeypatch, spec, pts, np.array([[1.0], [1.0 + 30 * eps]])) == [1, 0]
-
-    def test_other_kinds_compute_every_row(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        pts, ctr = rng.random((20, 3)), rng.random((4, 3))
-        for spec in (DistanceSpec("cityblock"), DistanceSpec("chebyshev"),
-                     DistanceSpec("minkowski", 2.5)):
-            assert self.exact_rows(monkeypatch, spec, pts, ctr) == [20] * 4
-
-    @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
-    def test_overflow_and_nan_reach_the_exact_kernel(self, spec):
-        huge = np.array([[1e200, -1e200], [0.5, 0.5], [-1e200, 1e200]])
-        nearest = NearestDistances(spec, huge)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, c in enumerate(huge):
-                reference = np.min(reference_distances(spec, huge, huge[: i + 1]), axis=1)
-                assert nearest.add(c).tobytes() == reference.tobytes()
 
 
 class TestAxioms:
