@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matclust import kmeans
+from matclust import kmeans, metrics
 from matclust.kmeans import (
     CENTROID_SHIFT,
     INIT_EXPLICIT,
@@ -35,6 +35,8 @@ BLOBS_1D = np.array([[0.0], [1.0], [9.0], [10.0]])
 ALL_SPECS = [
     DistanceSpec(kind, {"minkowski": 2.5, "dsd": 1.523}.get(kind)) for kind in METRIC_KINDS
 ]
+
+SEEDING_SPECS = ALL_SPECS + [DistanceSpec("dsd", 1.0), DistanceSpec("dsd", 3.0)]
 
 
 def reference_kmeans_pp(data: np.ndarray, config: ClusteringConfig) -> np.ndarray:
@@ -187,6 +189,52 @@ class TestInitCentroids:
         cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
         expected = reference_kmeans_pp(data, cfg)
         assert init_centroids(data, cfg).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", SEEDING_SPECS, ids=str)
+    def test_kmeans_pp_computes_each_row_once_per_step(self, spec, monkeypatch):
+        rng = np.random.default_rng(23)
+        n, k = 800, 16
+        means = rng.random((k, 3)) * 10.0
+        data = means[rng.integers(0, k, n)] + 0.05 * rng.random((n, 3))
+        cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=5)
+        core = metrics._exact
+        for points in (data, data + 1e8):
+            expected = reference_kmeans_pp(points, cfg)
+            seen = []
+
+            def spy(spec_, columns, centers):
+                seen.append((columns.shape[1], centers.shape[0]))
+                return core(spec_, columns, centers)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_exact", spy)
+                chosen = init_centroids(points, cfg)
+            assert chosen.tobytes() == expected.tobytes()
+            # the newest centroid against every row, for each step after the first
+            assert {c for _, c in seen} == {1}
+            assert sum(m for m, _ in seen) == (k - 1) * n
+
+    @pytest.mark.parametrize("spec", SEEDING_SPECS, ids=str)
+    def test_kmeans_pp_row_blocks(self, spec, monkeypatch):
+        rng = np.random.default_rng(4)
+        data = rng.integers(0, 3, (30, 3)).astype(float)
+        data[::3] = rng.random((10, 3))
+        configs = [ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+                   for k in (2, 6) for seed in range(3)]
+        expected = [reference_kmeans_pp(data, cfg).tobytes() for cfg in configs]
+        # 7-row exact blocks: ragged blocks in every step
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 3)
+        assert [init_centroids(data, cfg).tobytes() for cfg in configs] == expected
+
+    @pytest.mark.parametrize("spec", SEEDING_SPECS, ids=str)
+    def test_kmeans_pp_overflow_rejected_without_warning(self, spec):
+        huge = np.array([[1e200, -1e200], [0.5, 0.5], [-1e200, 1e200]])
+        for seed in range(3):
+            cfg = ClusteringConfig(k=3, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="k-means\\+\\+ weights are not finite"):
+                    init_centroids(huge, cfg)
 
     def test_explicit_echoes_user_centroids(self):
         given = np.array([[0.5], [9.5]])
