@@ -12,10 +12,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     ClassSpec,
-    Dataset,
     default_material_specs,
     generate_synthetic,
     json_text,
@@ -26,7 +27,7 @@ from .data import (
 )
 from .evaluate import OutlierPolicy, evaluate
 from .kmeans import DEFAULT_SEED, ClusteringConfig, fit
-from .metrics import DistanceSpec, METRIC_KINDS, validate_spec
+from .metrics import DSD, MINKOWSKI, DistanceSpec, METRIC_KINDS, validate_spec
 from .normalize import fit_transform
 from .sweep import (
     DEFAULT_INSTANCE_SIZES,
@@ -106,20 +107,14 @@ def _manifest(args, extra: dict) -> dict:
     return doc
 
 
-def _load_normalized(args) -> tuple[Dataset, object]:
-    dataset = load_csv(args.input)
+def _load_normalized(args) -> tuple[np.ndarray, object]:
+    """The input's points, min-max normalized unless --no-normalize, and
+    their stats (None when not normalized)."""
+    points = load_csv(args.input).points
     if args.no_normalize:
-        return dataset, None
-    stats, normalized = fit_transform(dataset.points)
-    return (
-        Dataset(
-            points=normalized,
-            labels=dataset.labels,
-            attribute_names=dataset.attribute_names,
-            provenance=dataset.provenance,
-        ),
-        stats,
-    )
+        return points, None
+    stats, normalized = fit_transform(points)
+    return normalized, stats
 
 
 def _cmd_gen(args) -> int:
@@ -149,17 +144,17 @@ def _write_run(args, stats, files: dict[str, str], extra: dict) -> Path:
 
 def _cmd_fit(args) -> int:
     spec = DistanceSpec(args.metric, args.p)
-    if spec.kind in ("minkowski", "dsd") and spec.p is None:
-        spec = DistanceSpec(spec.kind, DSD_OPERATING_P if spec.kind == "dsd" else 2.0)
+    if spec.kind in (MINKOWSKI, DSD) and spec.p is None:
+        spec = DistanceSpec(spec.kind, DSD_OPERATING_P if spec.kind == DSD else 2.0)
     validate_spec(spec)
     policy = _policy_from_args(args)
-    dataset, stats = _load_normalized(args)
+    points, stats = _load_normalized(args)
 
     config = ClusteringConfig(
         k=args.k, metric=spec, seed=args.seed, max_iter=args.max_iter, shift_tol=args.tol
     )
-    model = fit(dataset.points, config)
-    report = evaluate(dataset.points, model, policy)
+    model = fit(points, config)
+    report = evaluate(points, model, policy)
 
     files = {
         "model.json": model.to_json(),
@@ -178,7 +173,7 @@ def _cmd_fit(args) -> int:
 
 def _run_sweep_like(args, mode: str) -> int:
     policy = _policy_from_args(args)
-    dataset, stats = _load_normalized(args)
+    points, stats = _load_normalized(args)
 
     plan = SweepPlan(
         p_values=tuple(getattr(args, "p_values", DEFAULT_P_GRID)),
@@ -191,9 +186,9 @@ def _run_sweep_like(args, mode: str) -> int:
         jobs=args.jobs,
     )
     if mode == "sweep":
-        result = run_p_sweep(plan, dataset.points)
+        result = run_p_sweep(plan, points)
     else:
-        result = run_metric_comparison(plan, dataset.points)
+        result = run_metric_comparison(plan, points)
 
     files = {"sweep.csv": result.to_csv(), "sweep.json": result.to_json()}
     out = _write_run(args, stats, files, {"rows": len(result.rows)})

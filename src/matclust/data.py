@@ -1,7 +1,8 @@
 """CSV ingestion, synthetic materials-style dataset generation, persistence.
 
 Input CSV: UTF-8, comma-separated, one header row, numeric attribute columns,
-optional trailing ``class`` label column. Any cell may be quoted with ``"``
+optional trailing ``class`` label column (the header that save_dataset_csv
+writes for a labelled dataset). Any cell may be quoted with ``"``
 (``""`` inside quotes is one quote). An attribute cell is an ASCII decimal
 number, optionally signed, in plain or scientific notation (``-1.5``,
 ``2e-3``), with surrounding whitespace allowed. Digit-group separators
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +33,9 @@ import numpy as np
 
 # 17 significant digits: every float64 reads back bitwise
 _FLOAT_FORMAT = "%.17g"
+
+# header of the optional trailing label column, read and written
+_LABEL_COLUMN = "class"
 
 
 def fmt_float(x: float) -> str:
@@ -43,7 +48,6 @@ class Dataset:
     points: np.ndarray
     labels: tuple[str, ...] | None = None
     attribute_names: tuple[str, ...] = ()
-    provenance: str = ""
 
     @property
     def n_points(self) -> int:
@@ -84,7 +88,7 @@ class ClassSpec:
         return self
 
 
-def load_csv(path, label_column: str = "class") -> Dataset:
+def load_csv(path) -> Dataset:
     """Parse a headered CSV into a Dataset; any bad cell aborts the load.
 
     The body is parsed by one np.loadtxt call. Only when that fails, or a
@@ -99,7 +103,7 @@ def load_csv(path, label_column: str = "class") -> Dataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{p}: file is empty") from None
-        has_labels = bool(header) and header[-1] == label_column
+        has_labels = bool(header) and header[-1] == _LABEL_COLUMN
         attr_names = tuple(header[:-1] if has_labels else header)
         if not attr_names:
             raise ValueError(f"{p}: no attribute columns in header")
@@ -128,7 +132,6 @@ def load_csv(path, label_column: str = "class") -> Dataset:
         points=np.ascontiguousarray(points),
         labels=tuple(table["label"].tolist()) if has_labels else None,
         attribute_names=attr_names,
-        provenance=str(p),
     )
 
 
@@ -175,7 +178,7 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
         f"attr{i + 1}" for i in range(dataset.dimension)
     ]
     if dataset.labels is not None:
-        header.append("class")
+        header.append(_LABEL_COLUMN)
     distinct = list(dict.fromkeys(dataset.labels or ()))
     head, *tails = _csv_lines([header, *(("", label) for label in distinct)])
     # one % per row renders exactly fmt_float of each cell, which csv.writer
@@ -205,12 +208,19 @@ def _csv_lines(rows) -> list[str]:
     return lines
 
 
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer >= 0 (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def generate_synthetic(specs, seed: int) -> Dataset:
     """Sample each class independently, label the rows, shuffle them once.
 
     A pure function of (specs, seed): the same inputs always produce an
     identical dataset.
     """
+    check_seed(seed)
     specs = [s.validate() for s in specs]
     if not specs:
         raise ValueError("at least one class spec is required")
@@ -242,7 +252,6 @@ def generate_synthetic(specs, seed: int) -> Dataset:
         points=points[order],
         labels=tuple(labels[i] for i in order),
         attribute_names=tuple(f"attr{i + 1}" for i in range(dim)),
-        provenance=f"synthetic(classes={len(specs)}, dims={dim}, count={total}, seed={seed})",
     )
 
 

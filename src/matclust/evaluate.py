@@ -49,12 +49,6 @@ class OutlierPolicy:
         return self
 
 
-def table_header(k: int) -> list[str]:
-    """Column names of the report and sweep tables for k clusters."""
-    counts = [f"c{j + 1}" for j in range(k)]
-    return ["metric", "p", "instance_size", *counts, "accuracy_pct", "outlier_pct", "seed"]
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     per_cluster_counts: tuple[int, ...]
@@ -84,11 +78,20 @@ class EvaluationReport:
 
     def to_csv(self) -> str:
         """One-row CSV in the sweep table layout."""
-        row = (
-            self.metric, self.p, self.total, *self.per_cluster_counts,
-            self.cluster_accuracy_pct, self.outlier_pct, self.seed,
-        )
-        return csv_text(table_header(len(self.per_cluster_counts)), [row])
+        return table_csv(len(self.per_cluster_counts), [self])
+
+
+def table_csv(k: int, reports) -> str:
+    """The report and sweep table for k clusters: one row per report, whose
+    total is the row's instance size."""
+    counts = [f"c{j + 1}" for j in range(k)]
+    header = ["metric", "p", "instance_size", *counts, "accuracy_pct", "outlier_pct", "seed"]
+    rows = [
+        (r.metric, r.p, r.total, *r.per_cluster_counts,
+         r.cluster_accuracy_pct, r.outlier_pct, r.seed)
+        for r in reports
+    ]
+    return csv_text(header, rows)
 
 
 def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.ndarray:

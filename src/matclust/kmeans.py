@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import json_text
+from .data import check_seed, json_text
 from .metrics import (
     DistanceSpec,
     nearest_centers,
@@ -64,12 +64,15 @@ class ClusterModel:
     centroids: np.ndarray
     assignments: np.ndarray
     iterations_run: int
-    converged: bool
     converged_reason: str
     final_sse: float
     metric: DistanceSpec
     seed: int
     sse_per_iter: tuple[float, ...] = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.converged_reason != MAX_ITER
 
     def to_json(self) -> str:
         return json_text(
@@ -86,9 +89,9 @@ class ClusterModel:
         )
 
 
-def check_settings(k, init: str, max_iter, shift_tol) -> None:
-    """Reject a k, init mode, max_iter or shift_tol that no fit can run
-    with, whatever the data; the sweep plan checks its cells with it too."""
+def check_settings(k, init: str, max_iter, shift_tol, seed) -> None:
+    """Reject a k, init mode, max_iter, shift_tol or seed that no fit can
+    run with, whatever the data; the sweep plan checks its cells with it too."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
@@ -101,12 +104,13 @@ def check_settings(k, init: str, max_iter, shift_tol) -> None:
         raise ValueError(f"shift_tol must be finite and >= 0, got {shift_tol}")
     if init not in _INIT_MODES:
         raise ValueError(f"unknown init mode {init!r}")
+    check_seed(seed)
 
 
 def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
     if data.ndim != 2 or 0 in data.shape:
         raise ValueError("dataset must be a non-empty 2-D array")
-    check_settings(config.k, config.init, config.max_iter, config.shift_tol)
+    check_settings(config.k, config.init, config.max_iter, config.shift_tol, config.seed)
     if config.k > data.shape[0]:
         raise ValueError(
             f"k ({config.k}) exceeds dataset size ({data.shape[0]})"
@@ -170,19 +174,15 @@ def assign(dataset, centroids, metric: DistanceSpec, row_norms=None) -> np.ndarr
 
 
 def update_centroids(
-    dataset,
-    assignments,
-    k: int,
-    prev_centroids=None,
-    metric: DistanceSpec | None = None,
+    dataset, assignments, k: int, prev_centroids, metric: DistanceSpec
 ) -> np.ndarray:
     """Recompute each centroid as the mean of its assigned points.
 
     Points are accumulated in ascending point-index order so the result is
     independent of any caller-side partitioning. An empty cluster is
-    re-seeded with the point farthest (under the fit metric) from its former
-    centroid, which requires prev_centroids and metric; a ValueError asks
-    for normalized data when those distances overflow.
+    re-seeded with the point farthest (under metric) from its centroid in
+    prev_centroids; a ValueError asks for normalized data when those
+    distances overflow.
     """
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(assignments)
@@ -206,10 +206,6 @@ def update_centroids(
         if counts[j] > 0:
             centroids[j] = sums[j] / counts[j]
         else:
-            if prev_centroids is None or metric is None:
-                raise ValueError(
-                    f"cluster {j} is empty and no previous centroid is available"
-                )
             with np.errstate(over="ignore", invalid="ignore"):
                 d = pairwise_distances(metric, data, np.asarray(prev_centroids)[j : j + 1])
             if not np.isfinite(d).all():
@@ -292,7 +288,6 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
         centroids=centroids,
         assignments=labels,
         iterations_run=iterations,
-        converged=reason != MAX_ITER,
         converged_reason=reason,
         final_sse=history[-1],
         metric=config.metric,

@@ -8,7 +8,8 @@ metric, the parameter p, and the instance size.
 
 Cells are independent and may run in parallel; rows are ordered by plan
 position, never by completion time, so output files are byte-identical for
-any worker count.
+any worker count. Each row holds its cell's EvaluationReport, and
+sweep.csv renders it with the same function as report.csv.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .data import csv_text, json_text, save_report
-from .evaluate import OutlierPolicy, evaluate, table_header
+from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
 from .kmeans import DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, check_settings, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec, validate_spec
 
 # p grid and instance sizes used by default
 DEFAULT_P_GRID = (1.0, 1.2, 1.34, 1.42, 1.45, 1.5, 1.523, 1.55, 1.56, 3.0)
 DEFAULT_INSTANCE_SIZES = (1000, 2000, 3000, 4000, 5097)
+
+DSD_OPERATING_P = 1.523
 
 # comparison-mode metric order; dsd runs at its recommended operating point
 DEFAULT_COMPARISON_METRICS = (
@@ -36,10 +39,8 @@ DEFAULT_COMPARISON_METRICS = (
     DistanceSpec("euclidean"),
     DistanceSpec("sqeuclidean"),
     DistanceSpec("chebyshev"),
-    DistanceSpec(DSD, 1.523),
+    DistanceSpec(DSD, DSD_OPERATING_P),
 )
-
-DSD_OPERATING_P = 1.523
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class SweepPlan:
             validate_spec(DistanceSpec(DSD, p))
         for m in self.metrics:
             validate_spec(m)
-        check_settings(self.k, self.init, self.max_iter, self.shift_tol)
+        check_settings(self.k, self.init, self.max_iter, self.shift_tol, self.seed)
         if self.k > min(self.instance_sizes):
             raise ValueError(
                 f"k ({self.k}) exceeds the smallest instance size "
@@ -85,15 +86,12 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepRow:
-    metric: str
-    p: float | None
-    instance_size: int
-    per_cluster_counts: tuple[int, ...]
-    accuracy_pct: float
-    outlier_pct: float
+    """One cell: its report (whose total is the instance size), the fit's
+    iteration count and the cell's wall time."""
+
+    report: EvaluationReport
     iterations: int
     wall_ms: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,7 @@ class SweepResult:
         Wall-clock time varies run to run, so it lives in to_json() only and
         is deliberately left out of this byte-reproducible rendering.
         """
-        rows = [
-            (r.metric, r.p, r.instance_size, *r.per_cluster_counts,
-             r.accuracy_pct, r.outlier_pct, r.seed)
-            for r in self.rows
-        ]
-        return csv_text(table_header(self.plan.k), rows)
+        return table_csv(self.plan.k, [r.report for r in self.rows])
 
     def to_json(self) -> str:
         return json_text(
@@ -133,15 +126,15 @@ class SweepResult:
                 },
                 "rows": [
                     {
-                        "metric": r.metric,
-                        "p": r.p,
-                        "instance_size": r.instance_size,
-                        "per_cluster_counts": list(r.per_cluster_counts),
-                        "accuracy_pct": r.accuracy_pct,
-                        "outlier_pct": r.outlier_pct,
+                        "metric": r.report.metric,
+                        "p": r.report.p,
+                        "instance_size": r.report.total,
+                        "per_cluster_counts": list(r.report.per_cluster_counts),
+                        "accuracy_pct": r.report.cluster_accuracy_pct,
+                        "outlier_pct": r.report.outlier_pct,
                         "iterations": r.iterations,
                         "wall_ms": r.wall_ms,
-                        "seed": r.seed,
+                        "seed": r.report.seed,
                     }
                     for r in self.rows
                 ],
@@ -170,20 +163,17 @@ def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) 
     model = fit(subset, config)
     report = evaluate(subset, model, plan.policy)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return SweepRow(
-        metric=spec.kind,
-        p=spec.p,
-        instance_size=size,
-        per_cluster_counts=report.per_cluster_counts,
-        accuracy_pct=report.cluster_accuracy_pct,
-        outlier_pct=report.outlier_pct,
-        iterations=model.iterations_run,
-        wall_ms=wall_ms,
-        seed=plan.seed,
-    )
+    return SweepRow(report=report, iterations=model.iterations_run, wall_ms=wall_ms)
 
 
-def _run_grid(data: np.ndarray, plan: SweepPlan, specs, mode: str) -> SweepResult:
+def _run_grid(plan: SweepPlan, points, specs, mode: str, empty: str) -> SweepResult:
+    """Validate the plan, shuffle the points once and fit every (spec,
+    size) cell, spec-major; empty is the error for a grid with no spec."""
+    data = np.asarray(points, dtype=np.float64)
+    plan.validate(data.shape[0])
+    if not specs:
+        raise ValueError(empty)
+    data = shuffle_dataset(data, plan.seed)
     cells = [(spec, size) for spec in specs for size in plan.instance_sizes]
     if plan.jobs > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=plan.jobs) as pool:
@@ -195,23 +185,16 @@ def _run_grid(data: np.ndarray, plan: SweepPlan, specs, mode: str) -> SweepResul
 
 def run_p_sweep(plan: SweepPlan, points) -> SweepResult:
     """Fit dsd(p) for every (p, instance size) cell; rows p-major."""
-    data = np.asarray(points, dtype=np.float64)
-    plan.validate(data.shape[0])
-    if not plan.p_values:
-        raise ValueError("p-sweep requires at least one p value")
-    shuffled = shuffle_dataset(data, plan.seed)
     specs = [DistanceSpec(DSD, p) for p in plan.p_values]
-    return _run_grid(shuffled, plan, specs, "p-sweep")
+    return _run_grid(plan, points, specs, "p-sweep", "p-sweep requires at least one p value")
 
 
 def run_metric_comparison(plan: SweepPlan, points) -> SweepResult:
     """Fit every metric kind on every instance size; rows metric-major."""
-    data = np.asarray(points, dtype=np.float64)
-    plan.validate(data.shape[0])
-    if not plan.metrics:
-        raise ValueError("metric comparison requires at least one metric")
-    shuffled = shuffle_dataset(data, plan.seed)
-    return _run_grid(shuffled, plan, plan.metrics, "metric-comparison")
+    return _run_grid(
+        plan, points, plan.metrics, "metric-comparison",
+        "metric comparison requires at least one metric",
+    )
 
 
 def emit_figure_data(result: SweepResult, out_dir) -> list[str]:
@@ -224,22 +207,22 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[str]:
     """
     if not result.rows:
         raise ValueError("cannot emit figure data from an empty result")
-    largest = max(r.instance_size for r in result.rows)
-    rows = [r for r in result.rows if r.instance_size == largest]
+    largest = max(r.report.total for r in result.rows)
+    reports = [r.report for r in result.rows if r.report.total == largest]
     if result.mode == "p-sweep":
         tables = {
             "fig3.csv": csv_text(
                 ["p", "accuracy_pct", "outlier_pct"],
-                [(r.p, r.accuracy_pct, r.outlier_pct) for r in rows],
+                [(r.p, r.cluster_accuracy_pct, r.outlier_pct) for r in reports],
             )
         }
     else:
         tables = {
             "fig4.csv": csv_text(
-                ["metric", "outlier_pct"], [(r.metric, r.outlier_pct) for r in rows]
+                ["metric", "outlier_pct"], [(r.metric, r.outlier_pct) for r in reports]
             ),
             "fig5.csv": csv_text(
-                ["metric", "accuracy_pct"], [(r.metric, r.accuracy_pct) for r in rows]
+                ["metric", "accuracy_pct"], [(r.metric, r.cluster_accuracy_pct) for r in reports]
             ),
         }
     written = [str(Path(out_dir) / name) for name in tables]

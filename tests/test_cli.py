@@ -59,6 +59,13 @@ class TestFit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "fit" and manifest["p"] == 1.523
 
+    def test_minkowski_defaults_to_p_2(self, dataset_csv, tmp_path):
+        out = tmp_path / "run"
+        assert main(["fit", "-i", str(dataset_csv), "-o", str(out), "--metric", "minkowski"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["p"] is None and manifest["p_effective"] == 2.0
+        assert json.loads((out / "model.json").read_text())["p"] == 2.0
+
     def test_invalid_p_exits_nonzero_without_outputs(self, dataset_csv, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["fit", "-i", str(dataset_csv), "-o", str(out), "--metric", "dsd", "--p", "9"])
@@ -232,6 +239,29 @@ class TestOutputs:
         assert rc == 2
         assert f"instance sizes must be >= 1, got {bad}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["fit"], ["sweep", "--instances", "100"], ["compare", "--instances", "100"]],
+        ids=" ".join,
+    )
+    def test_negative_seed_exits_2_by_name_before_any_shuffle(
+        self, dataset_csv, tmp_path, capsys, monkeypatch, argv
+    ):
+        calls = []
+        monkeypatch.setattr(sweep, "shuffle_dataset", lambda *a: calls.append(a))
+        out = tmp_path / "run"
+        rc = main([argv[0], "-i", str(dataset_csv), "-o", str(out), "--seed", "-1", *argv[1:]])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
+    def test_gen_negative_seed_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "mat.csv"
+        rc = main(["gen", "--count", "20", "--seed", "-1", "-o", str(out)])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -267,6 +267,11 @@ class TestGenerateSynthetic:
         assert ds.labels.count("x") == 7
         assert ds.labels.count("y") == 13
 
+    @pytest.mark.parametrize("seed", [-1, False, 0.5])
+    def test_bad_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be an integer >= 0, got {seed!r}"):
+            generate_synthetic(default_material_specs(2, 2, 10), seed)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError, match="low"):
             ClassSpec("bad", 1, "uniform", ((2.0, 1.0),)).validate()

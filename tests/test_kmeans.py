@@ -304,11 +304,11 @@ class TestFitReference:
 
 class TestUpdateCentroids:
     def test_pair_mean(self):
-        ctr = update_centroids(np.array([[0.0], [1.0]]), [0, 0], 1)
+        ctr = update_centroids(np.array([[0.0], [1.0]]), [0, 0], 1, [[0.0]], EUCLID)
         assert ctr.tolist() == [[0.5]]
 
     def test_single_cluster_is_dataset_mean(self):
-        ctr = update_centroids(BLOBS_1D, [0, 0, 0, 0], 1)
+        ctr = update_centroids(BLOBS_1D, [0, 0, 0, 0], 1, [[0.0]], EUCLID)
         assert ctr[0, 0] == BLOBS_1D.mean()
 
     def test_empty_cluster_reseeded_with_farthest_point(self):
@@ -319,7 +319,7 @@ class TestUpdateCentroids:
 
     def test_out_of_range_assignment_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
-            update_centroids(BLOBS_1D, [0, 0, 0, 2], 2)
+            update_centroids(BLOBS_1D, [0, 0, 0, 2], 2, [[0.0], [1.0]], EUCLID)
 
     def test_sums_bitwise_equal_add_at(self):
         rng = np.random.default_rng(43)
@@ -334,7 +334,9 @@ class TestUpdateCentroids:
             np.add.at(sums, labels, data)
             expected = sums / np.bincount(labels, minlength=k)[:, None]
             # int8 labels: label * d must not wrap
-            got = update_centroids(data, labels.astype(np.int8) if trial % 2 else labels, k)
+            got = update_centroids(
+                data, labels.astype(np.int8) if trial % 2 else labels, k, np.zeros((k, dim)), EUCLID
+            )
             assert got.tobytes() == expected.tobytes(), trial
 
     @pytest.mark.parametrize("spec", [DistanceSpec("cityblock"), DistanceSpec("minkowski", 3.0)], ids=str)
@@ -408,7 +410,7 @@ class TestLayouts:
                     pairwise_distances(spec, view, ctr).tobytes(),
                     nearest_centers(spec, view, ctr).tobytes(),
                     nearest_centers(spec, view, ctr, squared_norms(spec, view)).tobytes(),
-                    update_centroids(view, labels, 5).tobytes(),
+                    update_centroids(view, labels, 5, prev_centroids=ctr, metric=spec).tobytes(),
                     # cluster 4 is empty and re-seeded under the metric
                     update_centroids(view, labels % 4, 5, prev_centroids=ctr, metric=spec).tobytes(),
                     sse(view, ctr, labels),
@@ -490,6 +492,10 @@ class TestFit:
             (dict(max_iter=2.5), "max_iter must be an integer"),
             (dict(max_iter=True), "max_iter must be an integer"),
             (dict(init="farthest"), "unknown init mode 'farthest'"),
+            (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+            (dict(seed=True), "seed must be an integer >= 0, got True"),
+            (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+            (dict(seed="3"), "seed must be an integer >= 0, got '3'"),
         ],
     )
     def test_bad_settings_rejected(self, bad, message):

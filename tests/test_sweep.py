@@ -72,6 +72,9 @@ class TestPlanValidation:
             (dict(max_iter=0), "max_iter must be >= 1"),
             (dict(shift_tol=float("nan")), "shift_tol must be finite"),
             (dict(init="farthest"), "unknown init mode"),
+            (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+            (dict(seed=True), "seed must be an integer >= 0, got True"),
+            (dict(seed=2.0), "seed must be an integer >= 0, got 2.0"),
         ],
     )
     def test_fit_settings_rejected_before_any_cell(self, small_data, monkeypatch, bad, message):
@@ -94,13 +97,13 @@ class TestPSweep:
         res = run_p_sweep(small_plan(p_values=(1.5,), instance_sizes=(60,)), small_data)
         assert len(res.rows) == 1
         row = res.rows[0]
-        assert row.metric == "dsd" and row.p == 1.5 and row.instance_size == 60
+        assert row.report.metric == "dsd" and row.report.p == 1.5 and row.report.total == 60
 
     def test_full_grid_is_complete_and_p_major(self, small_data):
         res = run_p_sweep(small_plan(), small_data)
         assert len(res.rows) == 9
         expected_order = [(p, s) for p in (1.0, 1.5, 1.523) for s in (60, 120, 240)]
-        assert [(r.p, r.instance_size) for r in res.rows] == expected_order
+        assert [(r.report.p, r.report.total) for r in res.rows] == expected_order
 
     def test_determinism(self, small_data):
         a = run_p_sweep(small_plan(), small_data)
@@ -121,7 +124,7 @@ class TestMetricComparison:
     def test_six_by_three_grid(self, small_data):
         res = run_metric_comparison(small_plan(), small_data)
         assert len(res.rows) == 18
-        assert [r.metric for r in res.rows[::3]] == [
+        assert [r.report.metric for r in res.rows[::3]] == [
             "minkowski",
             "cityblock",
             "euclidean",
@@ -132,7 +135,7 @@ class TestMetricComparison:
 
     def test_dsd_row_records_operating_p(self, small_data):
         res = run_metric_comparison(small_plan(), small_data)
-        dsd_rows = [r for r in res.rows if r.metric == "dsd"]
+        dsd_rows = [r.report for r in res.rows if r.report.metric == "dsd"]
         assert all(r.p == 1.523 for r in dsd_rows)
 
     def test_single_metric_single_size(self, small_data):
@@ -146,8 +149,8 @@ class TestMetricComparison:
             small_plan(metrics=(DistanceSpec("euclidean"),)), small_data
         )
         for a, b in zip(sweep_res.rows, cmp_res.rows):
-            assert a.instance_size == b.instance_size
-            assert a.per_cluster_counts == b.per_cluster_counts
+            assert a.report.total == b.report.total
+            assert a.report.per_cluster_counts == b.report.per_cluster_counts
 
 
 class TestFigureData:
@@ -195,16 +198,13 @@ class TestResultSerialization:
     @pytest.mark.parametrize("p", [None, 1.523, 2])
     def test_csv_row_matches_evaluation_report(self, p):
         acc = 99.72532862468118
-        row = SweepRow(
-            metric="dsd", p=p, instance_size=5097, per_cluster_counts=(3069, 2014),
-            accuracy_pct=acc, outlier_pct=100.0 - acc, iterations=4, wall_ms=1.5, seed=7,
-        )
         plan = SweepPlan(k=2)
         report = EvaluationReport(
-            per_cluster_counts=row.per_cluster_counts, total=5097, clustered=5083,
+            per_cluster_counts=(3069, 2014), total=5097, clustered=5083,
             cluster_accuracy_pct=acc, outlier_pct=100.0 - acc, policy=plan.policy,
             metric="dsd", p=p, seed=7,
         )
+        row = SweepRow(report=report, iterations=4, wall_ms=1.5)
         text = SweepResult(rows=(row,), mode="p-sweep", plan=plan).to_csv()
         assert report.to_csv() == text
         p_cell = {None: "", 1.523: "1.5229999999999999", 2: "2"}[p]
