@@ -7,7 +7,7 @@ experiment harness for parameter sweeps and metric comparisons.
 
 __version__ = "0.1.0"
 
-from .metrics import DistanceSpec, distance, pairwise_distances, validate_spec
+from .metrics import DistanceSpec, distance, pairwise_distances
 from .normalize import FeatureStats, fit_transform, transform
 from .kmeans import ClusteringConfig, ClusterModel, fit
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate
@@ -18,7 +18,6 @@ __all__ = [
     "DistanceSpec",
     "distance",
     "pairwise_distances",
-    "validate_spec",
     "FeatureStats",
     "fit_transform",
     "transform",

@@ -2,7 +2,8 @@
 
 Every run writes a manifest.json with all effective option values (defaults
 materialized), so a run can be reproduced exactly from its manifest.
-Validation failures exit nonzero before any output path is touched.
+Validation failures exit nonzero before any output path is touched; the
+settings records check themselves when built, before the input is read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import (
 )
 from .evaluate import OutlierPolicy, evaluate
 from .kmeans import DEFAULT_SEED, ClusteringConfig, fit
-from .metrics import DSD, MINKOWSKI, DistanceSpec, METRIC_KINDS, validate_spec
+from .metrics import DSD, MINKOWSKI, DistanceSpec, METRIC_KINDS
 from .normalize import fit_transform
 from .sweep import (
     DEFAULT_INSTANCE_SIZES,
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from_args(args) -> OutlierPolicy:
-    return OutlierPolicy(kind=args.outlier_policy, c=args.outlier_c, q=args.outlier_q).validate()
+    return OutlierPolicy(kind=args.outlier_policy, c=args.outlier_c, q=args.outlier_q)
 
 
 def _manifest(args, extra: dict) -> dict:
@@ -143,16 +144,15 @@ def _write_run(args, stats, files: dict[str, str], extra: dict) -> Path:
 
 
 def _cmd_fit(args) -> int:
-    spec = DistanceSpec(args.metric, args.p)
-    if spec.kind in (MINKOWSKI, DSD) and spec.p is None:
-        spec = DistanceSpec(spec.kind, DSD_OPERATING_P if spec.kind == DSD else 2.0)
-    validate_spec(spec)
+    p = args.p
+    if args.metric in (MINKOWSKI, DSD) and p is None:
+        p = DSD_OPERATING_P if args.metric == DSD else 2.0
+    spec = DistanceSpec(args.metric, p)
     policy = _policy_from_args(args)
-    points, stats = _load_normalized(args)
-
     config = ClusteringConfig(
         k=args.k, metric=spec, seed=args.seed, max_iter=args.max_iter, shift_tol=args.tol
     )
+    points, stats = _load_normalized(args)
     model = fit(points, config)
     report = evaluate(points, model, policy)
 
@@ -172,19 +172,17 @@ def _cmd_fit(args) -> int:
 
 
 def _run_sweep_like(args, mode: str) -> int:
-    policy = _policy_from_args(args)
-    points, stats = _load_normalized(args)
-
     plan = SweepPlan(
         p_values=tuple(getattr(args, "p_values", DEFAULT_P_GRID)),
         instance_sizes=tuple(args.instances),
         k=args.k,
         seed=args.seed,
-        policy=policy,
+        policy=_policy_from_args(args),
         max_iter=args.max_iter,
         shift_tol=args.tol,
         jobs=args.jobs,
     )
+    points, stats = _load_normalized(args)
     if mode == "sweep":
         result = run_p_sweep(plan, points)
     else:

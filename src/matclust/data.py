@@ -63,7 +63,7 @@ class ClassSpec:
     """Sampling recipe for one material class.
 
     sampling is "uniform" (params are per-attribute (low, high)) or "normal"
-    (params are per-attribute (mean, sigma)).
+    (params are per-attribute (mean, sigma)). Checked when built.
     """
 
     name: str
@@ -71,7 +71,7 @@ class ClassSpec:
     sampling: str
     params: tuple[tuple[float, float], ...] = field(default=())
 
-    def validate(self) -> "ClassSpec":
+    def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"class {self.name!r}: count must be >= 0")
         if self.sampling not in ("uniform", "normal"):
@@ -85,7 +85,6 @@ class ClassSpec:
                 raise ValueError(
                     f"class {self.name!r}, attribute {i}: sigma must be > 0, got {b}"
                 )
-        return self
 
 
 def load_csv(path) -> Dataset:
@@ -221,7 +220,7 @@ def generate_synthetic(specs, seed: int) -> Dataset:
     identical dataset.
     """
     check_seed(seed)
-    specs = [s.validate() for s in specs]
+    specs = list(specs)
     if not specs:
         raise ValueError("at least one class spec is required")
     dims = {len(s.params) for s in specs}

@@ -33,11 +33,13 @@ POLICY_QUANTILE = "quantile"
 
 @dataclass(frozen=True)
 class OutlierPolicy:
+    """An exclusion rule and its parameters, checked when built."""
+
     kind: str = POLICY_SIGMA
     c: float = 3.0
     q: float = 0.99
 
-    def validate(self) -> "OutlierPolicy":
+    def __post_init__(self) -> None:
         if self.kind not in (POLICY_NONE, POLICY_SIGMA, POLICY_QUANTILE):
             raise ValueError(f"unknown outlier policy {self.kind!r}")
         if not (math.isfinite(self.c) and math.isfinite(self.q)):
@@ -46,7 +48,6 @@ class OutlierPolicy:
             raise ValueError(f"sigma policy requires c > 0, got {self.c}")
         if self.kind == POLICY_QUANTILE and not 0 < self.q <= 1:
             raise ValueError(f"quantile policy requires q in (0, 1], got {self.q}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def table_csv(k: int, reports) -> str:
 
 def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.ndarray:
     """Boolean flag per point; True marks a point excluded as an outlier."""
-    policy.validate()
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(model.assignments)
     if data.shape[0] != labels.shape[0]:

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_seed, json_text
-from .metrics import (
-    DistanceSpec,
-    nearest_centers,
-    pairwise_distances,
-    squared_norms,
-    validate_spec,
-)
+from .metrics import DistanceSpec, nearest_centers, pairwise_distances, squared_norms
 
 INIT_RANDOM = "random-points"
 INIT_KMEANS_PP = "kmeans-plus-plus"
@@ -50,6 +44,8 @@ MAX_ITER = "max-iter"
 
 @dataclass(frozen=True)
 class ClusteringConfig:
+    """The settings of one fit, checked by check_settings when built."""
+
     k: int
     metric: DistanceSpec = DistanceSpec("euclidean")
     init: str = INIT_KMEANS_PP
@@ -57,6 +53,9 @@ class ClusteringConfig:
     max_iter: int = 100
     shift_tol: float = 1e-9
     initial_centroids: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        check_settings(self.k, self.init, self.max_iter, self.shift_tol, self.seed)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,8 @@ class ClusterModel:
 
 def check_settings(k, init: str, max_iter, shift_tol, seed) -> None:
     """Reject a k, init mode, max_iter, shift_tol or seed that no fit can
-    run with, whatever the data; the sweep plan checks its cells with it too."""
+    run with, whatever the data; ClusteringConfig and SweepPlan call it
+    when built."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
@@ -110,12 +110,10 @@ def check_settings(k, init: str, max_iter, shift_tol, seed) -> None:
 def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
     if data.ndim != 2 or 0 in data.shape:
         raise ValueError("dataset must be a non-empty 2-D array")
-    check_settings(config.k, config.init, config.max_iter, config.shift_tol, config.seed)
     if config.k > data.shape[0]:
         raise ValueError(
             f"k ({config.k}) exceeds dataset size ({data.shape[0]})"
         )
-    validate_spec(config.metric)
 
 
 def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:

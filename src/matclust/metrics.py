@@ -11,9 +11,10 @@ points' columns, a (d, m) array: per center a few numpy calls over m
 values each, with results written center-major as a (k, m) block. Those
 values are contiguous when the points are held column-major, as fit holds
 them; row-major points work too, more slowly. pairwise_distances and
-nearest_centers both use the core, and both validate the spec first. For
-the euclidean family, nearest_centers first ranks the centers by a matrix
-product; only rows its rounding bound leaves open get the exact core.
+nearest_centers both use the core; a DistanceSpec checks itself when it
+is built, so neither checks it again. For the euclidean family,
+nearest_centers first ranks the centers by a matrix product; only rows
+its rounding bound leaves open get the exact core.
 """
 
 from __future__ import annotations
@@ -48,37 +49,35 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class DistanceSpec:
-    """A metric kind plus its user parameter p, where applicable."""
+    """A metric kind plus its user parameter p, where applicable.
+
+    Checked when built: a kind or p outside its constraints raises
+    ValueError, so every DistanceSpec in existence is valid.
+    """
 
     kind: str
     p: float | None = None
 
-
-def validate_spec(spec: DistanceSpec) -> DistanceSpec:
-    """Check a DistanceSpec against its parameter constraints.
-
-    Returns the spec unchanged if valid, raises ValueError otherwise.
-    """
-    if spec.kind not in METRIC_KINDS:
-        raise ValueError(
-            f"unknown metric kind {spec.kind!r}; expected one of {', '.join(METRIC_KINDS)}"
-        )
-    if spec.kind in _PARAMETRIC:
-        if spec.p is None:
-            raise ValueError(f"metric {spec.kind!r} requires parameter p")
-        p = float(spec.p)
-        if not math.isfinite(p):
-            raise ValueError(f"parameter p must be finite, got {spec.p!r}")
-        if spec.kind == DSD:
-            if p < 1.0:
-                raise ValueError(f"dsd parameter p below 1 (got {p})")
-            if p > 3.0:
-                raise ValueError(f"dsd parameter p above 3 (got {p})")
-        elif p < 1.0:
-            raise ValueError(f"minkowski parameter p below 1 (got {p})")
-    elif spec.p is not None:
-        raise ValueError(f"metric {spec.kind!r} does not take a parameter p")
-    return spec
+    def __post_init__(self) -> None:
+        if self.kind not in METRIC_KINDS:
+            raise ValueError(
+                f"unknown metric kind {self.kind!r}; expected one of {', '.join(METRIC_KINDS)}"
+            )
+        if self.kind in _PARAMETRIC:
+            if self.p is None:
+                raise ValueError(f"metric {self.kind!r} requires parameter p")
+            p = float(self.p)
+            if not math.isfinite(p):
+                raise ValueError(f"parameter p must be finite, got {self.p!r}")
+            if self.kind == DSD:
+                if p < 1.0:
+                    raise ValueError(f"dsd parameter p below 1 (got {p})")
+                if p > 3.0:
+                    raise ValueError(f"dsd parameter p above 3 (got {p})")
+            elif p < 1.0:
+                raise ValueError(f"minkowski parameter p below 1 (got {p})")
+        elif self.p is not None:
+            raise ValueError(f"metric {self.kind!r} does not take a parameter p")
 
 
 def as_vector(values) -> np.ndarray:
@@ -228,10 +227,8 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
     """Distance matrix: entry (i, j) is distance(spec, points[i], centers[j]).
 
     Entries are bitwise identical to the scalar op applied entrywise: each
-    is reduced on its own, whichever row block it falls in. Raises
-    ValueError for an invalid spec.
+    is reduced on its own, whichever row block it falls in.
     """
-    validate_spec(spec)
     pts, ctr = _point_arrays(points, centers)
     out = np.empty((pts.shape[0], ctr.shape[0]))
     step = _block_rows(ctr.shape[1])
@@ -329,10 +326,8 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
     rows whose top-two gap is within the rounding bound of _squared_test
     get the exact core. cityblock, chebyshev and minkowski are computed
     exactly. row_norms, if given, must be squared_norms(spec, points).
-    Raises ValueError for an invalid spec and when a point's nearest
-    distance is not finite.
+    Raises ValueError when a point's nearest distance is not finite.
     """
-    validate_spec(spec)
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
         raise ValueError("at least one centroid is required")

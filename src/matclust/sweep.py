@@ -9,7 +9,9 @@ metric, the parameter p, and the instance size.
 Cells are independent and may run in parallel; rows are ordered by plan
 position, never by completion time, so output files are byte-identical for
 any worker count. Each row holds its cell's EvaluationReport, and
-sweep.csv renders it with the same function as report.csv.
+sweep.csv renders it with the same function as report.csv. A SweepPlan
+checks its settings when built, as its specs, policy and configs do; only
+the largest instance size waits for the data.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .data import csv_text, json_text, save_report
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
 from .kmeans import DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, check_settings, fit
-from .metrics import DSD, MINKOWSKI, DistanceSpec, validate_spec
+from .metrics import DSD, MINKOWSKI, DistanceSpec
 
 # p grid and instance sizes used by default
 DEFAULT_P_GRID = (1.0, 1.2, 1.34, 1.42, 1.45, 1.5, 1.523, 1.55, 1.56, 3.0)
@@ -56,7 +58,7 @@ class SweepPlan:
     shift_tol: float = 1e-9
     jobs: int = 1
 
-    def validate(self, n_points: int) -> "SweepPlan":
+    def __post_init__(self) -> None:
         sizes = self.instance_sizes
         if not sizes:
             raise ValueError("at least one instance size is required")
@@ -64,24 +66,15 @@ class SweepPlan:
             raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
         if any(later < size for size, later in zip(sizes, sizes[1:])):
             raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
-        if sizes[-1] > n_points:
-            raise ValueError(
-                f"largest instance size ({sizes[-1]}) exceeds dataset size ({n_points})"
-            )
         for p in self.p_values:
-            validate_spec(DistanceSpec(DSD, p))
-        for m in self.metrics:
-            validate_spec(m)
+            DistanceSpec(DSD, p)
         check_settings(self.k, self.init, self.max_iter, self.shift_tol, self.seed)
-        if self.k > min(self.instance_sizes):
+        if self.k > min(sizes):
             raise ValueError(
-                f"k ({self.k}) exceeds the smallest instance size "
-                f"({min(self.instance_sizes)})"
+                f"k ({self.k}) exceeds the smallest instance size ({min(sizes)})"
             )
-        self.policy.validate()
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -167,10 +160,15 @@ def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) 
 
 
 def _run_grid(plan: SweepPlan, points, specs, mode: str, empty: str) -> SweepResult:
-    """Validate the plan, shuffle the points once and fit every (spec,
-    size) cell, spec-major; empty is the error for a grid with no spec."""
+    """Check the largest instance size against the points, shuffle them
+    once and fit every (spec, size) cell, spec-major; empty is the error
+    for a grid with no spec."""
     data = np.asarray(points, dtype=np.float64)
-    plan.validate(data.shape[0])
+    if plan.instance_sizes[-1] > data.shape[0]:
+        raise ValueError(
+            f"largest instance size ({plan.instance_sizes[-1]}) exceeds dataset "
+            f"size ({data.shape[0]})"
+        )
     if not specs:
         raise ValueError(empty)
     data = shuffle_dataset(data, plan.seed)

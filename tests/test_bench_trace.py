@@ -15,7 +15,10 @@ def load_traced():
     return module
 
 
-def test_traced_fit_records_pairwise_distances(tmp_path, monkeypatch):
+def instrumented(monkeypatch):
+    """bench/traced.py's module, a tracer, the wrapped cli module and the
+    (module, name) bindings wrapped; the bindings come back when the test
+    ends."""
     traced = load_traced()
     wrapped = []
     wrap = traced.Tracer.wrap
@@ -23,19 +26,27 @@ def test_traced_fit_records_pairwise_distances(tmp_path, monkeypatch):
     def checked_wrap(self, owner, attr, name, **kwargs):
         target = getattr(owner, attr)  # raises if the binding is gone
         assert callable(target), (owner, attr)
-        # the unwrapped binding comes back when the test ends
         monkeypatch.setattr(owner, attr, target)
         wrapped.append((owner.__name__, attr))
         wrap(self, owner, attr, name, **kwargs)
 
     monkeypatch.setattr(traced.Tracer, "wrap", checked_wrap)
     tracer = traced.Tracer()
-    cli = traced.instrument(tracer)
+    return traced, tracer, traced.instrument(tracer), wrapped
+
+
+def gen(cli, path, count):
+    argv = ["gen", "--classes", "3", "--dims", "4", "--count", str(count), "-o", str(path)]
+    assert cli.main(argv) == 0
+
+
+def test_traced_fit_records_pairwise_distances(tmp_path, monkeypatch):
+    traced, tracer, cli, wrapped = instrumented(monkeypatch)
     assert ("matclust.kmeans", "pairwise_distances") in wrapped
     assert ("matclust.evaluate", "pairwise_distances") in wrapped
 
     data = tmp_path / "mat.csv"
-    assert cli.main(["gen", "--classes", "3", "--dims", "4", "--count", "200", "-o", str(data)]) == 0
+    gen(cli, data, 200)
     for metric in ("cityblock", "dsd"):
         out = tmp_path / metric
         argv = ["fit", "-i", str(data), "-o", str(out), "--k", "3", "--metric", metric]
@@ -51,3 +62,24 @@ def test_traced_fit_records_pairwise_distances(tmp_path, monkeypatch):
     # binding the trace wraps: (k - 1) * n per fit
     assert layers["kmeans.init_distance_evals"] == 2 * (3 - 1) * 200
     assert [p for p in problems if "pairwise_distances" in p] == []
+
+
+def test_traced_sweep_and_compare_count_every_cell(tmp_path, monkeypatch):
+    # the benchmark's grid commands, at one worker as bench/run.py runs them
+    traced, tracer, cli, _ = instrumented(monkeypatch)
+    data = tmp_path / "mat.csv"
+    gen(cli, data, 200)
+    grid = ["--k", "3", "--jobs", "1", "--outlier-policy", "sigma", "--outlier-c", "3.0",
+            "--instances", "100", "200"]
+    for argv in (["sweep", "--p-values", "1.0", "1.523"], ["compare"]):
+        idx = tracer.open("cli.main")
+        code = cli.main([*argv, "-i", str(data), "-o", str(tmp_path / argv[0]), *grid])
+        tracer.close(idx)
+        assert code == 0
+
+    layers, problems = traced.layer_metrics(tracer.spans)
+    assert layers["sweep.cells"] == (2 + 6) * 2
+    assert layers["kmeans.iterations"] > 0
+    assert layers["evaluate.evaluate_s"] > 0
+    assert layers["evaluate.distance_evals"] > 0
+    assert problems == []

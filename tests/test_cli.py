@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from matclust import sweep
+from matclust import cli, sweep
 from matclust.cli import main
 
 
@@ -284,3 +284,26 @@ class TestOutputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--k", "0"], "k must be >= 1, got 0"),
+            (["fit", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+            (["sweep", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["compare", "--tol", "nan", "--jobs", "1"],
+             "shift_tol must be finite and >= 0, got nan"),
+        ],
+        ids=["fit --k 0", "fit --max-iter 0", "sweep --jobs 0", "compare --tol nan --jobs 1"],
+    )
+    def test_bad_setting_exits_2_before_loading_the_input(
+        self, dataset_csv, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: calls.append(a))
+        out = tmp_path / "run"
+        rc = main([argv[0], "-i", str(dataset_csv), "-o", str(out), *argv[1:]])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import warnings
 
@@ -274,9 +275,9 @@ class TestGenerateSynthetic:
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError, match="low"):
-            ClassSpec("bad", 1, "uniform", ((2.0, 1.0),)).validate()
+            ClassSpec("bad", 1, "uniform", ((2.0, 1.0),))
         with pytest.raises(ValueError, match="sigma"):
-            ClassSpec("bad", 1, "normal", ((0.0, 0.0),)).validate()
+            ClassSpec("bad", 1, "normal", ((0.0, 0.0),))
         with pytest.raises(ValueError, match="attribute count"):
             generate_synthetic(
                 [
@@ -285,6 +286,14 @@ class TestGenerateSynthetic:
                 ],
                 seed=0,
             )
+
+    def test_low_above_high_rejected_built_or_replaced(self):
+        message = r"class 'bad', attribute 0: low 2.0 > high 1.0"
+        with pytest.raises(ValueError, match=message):
+            ClassSpec("bad", 1, "uniform", ((2.0, 1.0),))
+        valid = ClassSpec("bad", 1, "uniform", ((0.0, 1.0),))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(valid, params=((2.0, 1.0),))
 
     def test_default_specs_shape(self):
         specs = default_material_specs()

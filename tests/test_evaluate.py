@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -145,7 +146,13 @@ class TestFlagOutliers:
     )
     def test_non_finite_c_or_q_rejected(self, kind, c, q):
         with pytest.raises(ValueError, match="c and q must be finite"):
-            OutlierPolicy(kind=kind, c=c, q=q).validate()
+            OutlierPolicy(kind=kind, c=c, q=q)
+
+    def test_unknown_kind_rejected_built_or_replaced(self):
+        with pytest.raises(ValueError, match="unknown outlier policy 'zscore'"):
+            OutlierPolicy(kind="zscore")
+        with pytest.raises(ValueError, match="unknown outlier policy 'zscore'"):
+            dataclasses.replace(OutlierPolicy(), kind="zscore")
 
 
 class TestEvaluate:

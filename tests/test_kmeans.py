@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -501,6 +502,12 @@ class TestFit:
     def test_bad_settings_rejected(self, bad, message):
         with pytest.raises(ValueError, match=message):
             fit(BLOBS_1D, ClusteringConfig(k=2, metric=EUCLID, **bad))
+
+    def test_zero_k_rejected_built_or_replaced(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            ClusteringConfig(k=0)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            dataclasses.replace(ClusteringConfig(k=2), k=0)
 
     def test_numpy_integer_k_accepted(self):
         assert fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), metric=EUCLID)).converged

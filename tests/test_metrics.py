@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from matclust.metrics import (
     nearest_centers,
     pairwise_distances,
     squared_norms,
-    validate_spec,
 )
 
 # 25^(1.523/3) evaluated at 60 decimal digits with mpmath, frozen here
@@ -84,52 +84,60 @@ def reference_distances(spec, points, centers):
 
 
 class TestValidateSpec:
+    """A DistanceSpec checks its kind and p when it is built."""
+
     def test_recommended_operating_point_accepted(self):
-        spec = DistanceSpec(DSD, 1.523)
-        assert validate_spec(spec) is spec
+        assert DistanceSpec(DSD, 1.523).p == 1.523
 
     def test_dsd_p_below_one_rejected(self):
         with pytest.raises(ValueError, match="below 1"):
-            validate_spec(DistanceSpec(DSD, 0.5))
+            DistanceSpec(DSD, 0.5)
 
     def test_dsd_p_above_three_rejected(self):
         with pytest.raises(ValueError, match="above 3"):
-            validate_spec(DistanceSpec(DSD, 3.01))
+            DistanceSpec(DSD, 3.01)
 
     def test_minkowski_p2_accepted(self):
-        assert validate_spec(DistanceSpec("minkowski", 2)) is not None
+        assert DistanceSpec("minkowski", 2).p == 2
 
     def test_minkowski_p_below_one_rejected(self):
         with pytest.raises(ValueError, match="below 1"):
-            validate_spec(DistanceSpec("minkowski", 0.99))
+            DistanceSpec("minkowski", 0.99)
 
     def test_nonfinite_p_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            validate_spec(DistanceSpec(DSD, math.nan))
+            DistanceSpec(DSD, math.nan)
         with pytest.raises(ValueError, match="finite"):
-            validate_spec(DistanceSpec("minkowski", math.inf))
+            DistanceSpec("minkowski", math.inf)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            validate_spec(DistanceSpec("cosine"))
+            DistanceSpec("cosine")
 
     def test_p_on_nonparametric_kind_rejected(self):
         with pytest.raises(ValueError, match="does not take"):
-            validate_spec(DistanceSpec("euclidean", 2.0))
+            DistanceSpec("euclidean", 2.0)
+
+    def test_misspelled_kind_rejected_built_or_replaced(self):
+        spec = DistanceSpec("euclidean")
+        with pytest.raises(ValueError, match="unknown metric kind 'euclidian'"):
+            DistanceSpec("euclidian")
+        with pytest.raises(ValueError, match="unknown metric kind 'euclidian'"):
+            dataclasses.replace(spec, kind="euclidian")
 
     @pytest.mark.parametrize(
-        "spec, match",
-        [(DistanceSpec("euclidian"), "unknown metric kind 'euclidian'"),
-         (DistanceSpec(DSD, 0.5), "dsd parameter p below 1"),
-         (DistanceSpec("minkowski", 0.5), "minkowski parameter p below 1")],
+        "kind, p, match",
+        [("euclidian", None, "unknown metric kind 'euclidian'"),
+         (DSD, 0.5, "dsd parameter p below 1"),
+         ("minkowski", 0.5, "minkowski parameter p below 1")],
         ids=["misspelled-kind", "dsd-p-0.5", "minkowski-p-0.5"],
     )
-    def test_distance_functions_reject_invalid_spec(self, spec, match):
+    def test_distance_functions_reject_invalid_spec(self, kind, p, match):
         with pytest.raises(ValueError, match=match):
-            distance(spec, (0.0, 0.0), (3.0, 4.0))
+            distance(DistanceSpec(kind, p), (0.0, 0.0), (3.0, 4.0))
         for call in (pairwise_distances, nearest_centers):
             with pytest.raises(ValueError, match=match):
-                call(spec, [[0.0, 0.0]], [[3.0, 4.0]])
+                call(DistanceSpec(kind, p), [[0.0, 0.0]], [[3.0, 4.0]])
 
 
 class TestDistanceExamples:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -87,9 +88,14 @@ class TestPlanValidation:
 
     def test_validation_happens_before_fitting(self, small_data):
         # error surfaces immediately even though the grid would be expensive
-        plan = small_plan(p_values=tuple([3.5] + [1.5] * 1000))
         with pytest.raises(ValueError, match="above 3"):
-            run_p_sweep(plan, small_data)
+            run_p_sweep(small_plan(p_values=tuple([3.5] + [1.5] * 1000)), small_data)
+
+    def test_zero_jobs_rejected_built_or_replaced(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            SweepPlan(jobs=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            dataclasses.replace(small_plan(), jobs=0)
 
 
 class TestPSweep:
