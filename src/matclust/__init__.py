@@ -12,7 +12,7 @@ from .normalize import FeatureStats, fit_transform, transform
 from .kmeans import ClusteringConfig, ClusterModel, fit
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate
 from .data import ClassSpec, Dataset, generate_synthetic, load_csv
-from .sweep import SweepPlan, SweepResult, run_metric_comparison, run_p_sweep
+from .sweep import SweepPlan, SweepResult, run_sweep
 
 __all__ = [
     "DistanceSpec",
@@ -33,6 +33,5 @@ __all__ = [
     "load_csv",
     "SweepPlan",
     "SweepResult",
-    "run_metric_comparison",
-    "run_p_sweep",
+    "run_sweep",
 ]

@@ -31,13 +31,13 @@ from .kmeans import DEFAULT_SEED, ClusteringConfig, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec, METRIC_KINDS
 from .normalize import fit_transform
 from .sweep import (
+    DEFAULT_COMPARISON_METRICS,
     DEFAULT_INSTANCE_SIZES,
     DEFAULT_P_GRID,
     DSD_OPERATING_P,
     SweepPlan,
     emit_figure_data,
-    run_metric_comparison,
-    run_p_sweep,
+    run_sweep,
 )
 
 
@@ -171,9 +171,9 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _run_sweep_like(args, mode: str) -> int:
+def _run_sweep_like(args, metrics: tuple[DistanceSpec, ...]) -> int:
     plan = SweepPlan(
-        p_values=tuple(getattr(args, "p_values", DEFAULT_P_GRID)),
+        metrics=metrics,
         instance_sizes=tuple(args.instances),
         k=args.k,
         seed=args.seed,
@@ -183,15 +183,12 @@ def _run_sweep_like(args, mode: str) -> int:
         jobs=args.jobs,
     )
     points, stats = _load_normalized(args)
-    if mode == "sweep":
-        result = run_p_sweep(plan, points)
-    else:
-        result = run_metric_comparison(plan, points)
+    result = run_sweep(plan, points)
 
     files = {"sweep.csv": result.to_csv(), "sweep.json": result.to_json()}
     out = _write_run(args, stats, files, {"rows": len(result.rows)})
     figures = emit_figure_data(result, out)
-    print(f"{mode}: {len(result.rows)} rows -> {out / 'sweep.csv'}; figures: {', '.join(figures)}")
+    print(f"{args.command}: {len(result.rows)} rows -> {out / 'sweep.csv'}; figures: {', '.join(figures)}")
     return 0
 
 
@@ -204,9 +201,9 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         if args.command == "sweep":
-            return _run_sweep_like(args, "sweep")
+            return _run_sweep_like(args, tuple(DistanceSpec(DSD, p) for p in args.p_values))
         if args.command == "compare":
-            return _run_sweep_like(args, "compare")
+            return _run_sweep_like(args, DEFAULT_COMPARISON_METRICS)
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

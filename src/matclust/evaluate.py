@@ -108,12 +108,16 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     if policy.kind == POLICY_NONE:
         return flags
 
+    # each point's distance to its own centroid in one call: the core's
+    # fl(x - c) - 0 is fl(x - c), so this is bitwise the distance of x to c
+    resid = model.centroids[labels]
+    np.subtract(data, resid, out=resid)
+    own = pairwise_distances(model.metric, resid, np.zeros((1, data.shape[1])))[:, 0]
     for j in range(model.centroids.shape[0]):
         members = labels == j
         if not members.any():
             continue
-        # each point's distance to its own centroid only: n evaluations in all
-        dj = pairwise_distances(model.metric, data[members], model.centroids[j : j + 1])[:, 0]
+        dj = own[members]
         if policy.kind == POLICY_SIGMA:
             cutoff = dj.mean() + policy.c * dj.std()
         else:

@@ -88,18 +88,20 @@ class ClusterModel:
         )
 
 
+def check_count(name: str, value) -> None:
+    """Reject a value that is not an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def check_settings(k, init: str, max_iter, shift_tol, seed) -> None:
     """Reject a k, init mode, max_iter, shift_tol or seed that no fit can
     run with, whatever the data; ClusteringConfig and SweepPlan call it
     when built."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_count("k", k)
+    check_count("max_iter", max_iter)
     if not (math.isfinite(shift_tol) and shift_tol >= 0):
         raise ValueError(f"shift_tol must be finite and >= 0, got {shift_tol}")
     if init not in _INIT_MODES:

@@ -1,10 +1,13 @@
-"""Experiment harness: p-grid sweeps, cross-metric comparison, figure data.
+"""Experiment harness: one grid of distance specs x instance sizes, and
+its figure data. A SweepPlan holds the specs it runs, in row order; a grid
+of dsd specs only is a p-sweep (Fig. 3), any other a metric comparison
+(Figs. 4-5). run_sweep fits either, and plan.mode names which.
 
 Instance subsets are deterministic prefixes of the dataset after one seeded
 shuffle at load time (recorded in the result), so the size-1000 instance is
 literally the first 1000 rows of the size-2000 instance. Every cell reuses
-the same base seed; differences between cells therefore reflect only the
-metric, the parameter p, and the instance size.
+the same base seed and k-means++ seeding; differences between cells
+therefore reflect only the metric, the parameter p, and the instance size.
 
 Cells are independent and may run in parallel; rows are ordered by plan
 position, never by completion time, so output files are byte-identical for
@@ -16,6 +19,7 @@ the largest instance size waits for the data.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +29,9 @@ import numpy as np
 
 from .data import csv_text, json_text, save_report
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
-from .kmeans import DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, check_settings, fit
+from .kmeans import (
+    DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, check_count, check_settings, fit,
+)
 from .metrics import DSD, MINKOWSKI, DistanceSpec
 
 # p grid and instance sizes used by default
@@ -47,34 +53,40 @@ DEFAULT_COMPARISON_METRICS = (
 
 @dataclass(frozen=True)
 class SweepPlan:
-    p_values: tuple[float, ...] = DEFAULT_P_GRID
+    """The grid, metrics x instance_sizes, and the settings of every cell."""
+
+    metrics: tuple[DistanceSpec, ...] = DEFAULT_COMPARISON_METRICS
     instance_sizes: tuple[int, ...] = DEFAULT_INSTANCE_SIZES
     k: int = 3
-    metrics: tuple[DistanceSpec, ...] = DEFAULT_COMPARISON_METRICS
     seed: int = DEFAULT_SEED
     policy: OutlierPolicy = OutlierPolicy()
-    init: str = INIT_KMEANS_PP
     max_iter: int = 100
     shift_tol: float = 1e-9
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if not self.metrics:
+            raise ValueError("at least one metric is required")
         sizes = self.instance_sizes
         if not sizes:
             raise ValueError("at least one instance size is required")
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in sizes):
+            raise ValueError(f"instance sizes must be integers, got {sizes}")
         if min(sizes) < 1:
             raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
         if any(later < size for size, later in zip(sizes, sizes[1:])):
             raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
-        for p in self.p_values:
-            DistanceSpec(DSD, p)
-        check_settings(self.k, self.init, self.max_iter, self.shift_tol, self.seed)
+        check_settings(self.k, INIT_KMEANS_PP, self.max_iter, self.shift_tol, self.seed)
         if self.k > min(sizes):
             raise ValueError(
                 f"k ({self.k}) exceeds the smallest instance size ({min(sizes)})"
             )
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        check_count("jobs", self.jobs)
+
+    @property
+    def mode(self) -> str:
+        """The experiment: a p-sweep when every spec is dsd, else a metric comparison."""
+        return "p-sweep" if all(m.kind == DSD for m in self.metrics) else "metric-comparison"
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    mode: str  # "p-sweep" or "metric-comparison"
     plan: SweepPlan
 
     def to_csv(self) -> str:
@@ -104,16 +115,15 @@ class SweepResult:
     def to_json(self) -> str:
         return json_text(
             {
-                "mode": self.mode,
+                "mode": self.plan.mode,
                 "shuffle_seed": self.plan.seed,
                 "plan": {
-                    "p_values": list(self.plan.p_values),
                     "instance_sizes": list(self.plan.instance_sizes),
                     "k": self.plan.k,
                     "metrics": [[m.kind, m.p] for m in self.plan.metrics],
                     "seed": self.plan.seed,
                     "policy": self.plan.policy.kind,
-                    "init": self.plan.init,
+                    "init": INIT_KMEANS_PP,
                     "max_iter": self.plan.max_iter,
                     "shift_tol": self.plan.shift_tol,
                 },
@@ -147,7 +157,6 @@ def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) 
     config = ClusteringConfig(
         k=plan.k,
         metric=spec,
-        init=plan.init,
         seed=plan.seed,
         max_iter=plan.max_iter,
         shift_tol=plan.shift_tol,
@@ -159,47 +168,31 @@ def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) 
     return SweepRow(report=report, iterations=model.iterations_run, wall_ms=wall_ms)
 
 
-def _run_grid(plan: SweepPlan, points, specs, mode: str, empty: str) -> SweepResult:
+def run_sweep(plan: SweepPlan, points) -> SweepResult:
     """Check the largest instance size against the points, shuffle them
-    once and fit every (spec, size) cell, spec-major; empty is the error
-    for a grid with no spec."""
+    once and fit every (spec, size) cell; rows follow plan.metrics, each
+    over every instance size."""
     data = np.asarray(points, dtype=np.float64)
     if plan.instance_sizes[-1] > data.shape[0]:
         raise ValueError(
             f"largest instance size ({plan.instance_sizes[-1]}) exceeds dataset "
             f"size ({data.shape[0]})"
         )
-    if not specs:
-        raise ValueError(empty)
     data = shuffle_dataset(data, plan.seed)
-    cells = [(spec, size) for spec in specs for size in plan.instance_sizes]
+    cells = [(spec, size) for spec in plan.metrics for size in plan.instance_sizes]
     if plan.jobs > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=plan.jobs) as pool:
             rows = list(pool.map(lambda c: _run_cell(data, plan, *c), cells))
     else:
         rows = [_run_cell(data, plan, *cell) for cell in cells]
-    return SweepResult(rows=tuple(rows), mode=mode, plan=plan)
-
-
-def run_p_sweep(plan: SweepPlan, points) -> SweepResult:
-    """Fit dsd(p) for every (p, instance size) cell; rows p-major."""
-    specs = [DistanceSpec(DSD, p) for p in plan.p_values]
-    return _run_grid(plan, points, specs, "p-sweep", "p-sweep requires at least one p value")
-
-
-def run_metric_comparison(plan: SweepPlan, points) -> SweepResult:
-    """Fit every metric kind on every instance size; rows metric-major."""
-    return _run_grid(
-        plan, points, plan.metrics, "metric-comparison",
-        "metric comparison requires at least one metric",
-    )
+    return SweepResult(rows=tuple(rows), plan=plan)
 
 
 def emit_figure_data(result: SweepResult, out_dir) -> list[str]:
     """Write plot-ready CSV series at the largest instance size.
 
-    p-sweep results yield fig3.csv (p, accuracy, outlier); comparison
-    results yield fig4.csv (metric, outlier) and fig5.csv (metric, accuracy).
+    A p-sweep yields fig3.csv (p, accuracy, outlier); a comparison yields
+    fig4.csv (metric, outlier) and fig5.csv (metric, accuracy).
     Every table is rendered before any file is written. Returns the paths
     written.
     """
@@ -207,7 +200,7 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[str]:
         raise ValueError("cannot emit figure data from an empty result")
     largest = max(r.report.total for r in result.rows)
     reports = [r.report for r in result.rows if r.report.total == largest]
-    if result.mode == "p-sweep":
+    if result.plan.mode == "p-sweep":
         tables = {
             "fig3.csv": csv_text(
                 ["p", "accuracy_pct", "outlier_pct"],

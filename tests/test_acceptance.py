@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -16,7 +17,7 @@ from matclust.evaluate import OutlierPolicy, cluster_accuracy_pct, outlier_pct
 from matclust.kmeans import ClusteringConfig, assign, fit
 from matclust.metrics import DistanceSpec, distance, pairwise_distances
 from matclust.normalize import fit_transform
-from matclust.sweep import SweepPlan, run_metric_comparison, run_p_sweep
+from matclust.sweep import DEFAULT_P_GRID, SweepPlan, run_sweep
 
 
 def _report(num: int, title: str, ok: bool) -> None:
@@ -198,10 +199,11 @@ def test_criterion_6_desk_scale_reproduction(tmp_path):
     _, normalized = fit_transform(ds.points)
 
     plan = SweepPlan(seed=42, policy=OutlierPolicy(kind="sigma", c=3.0))
-    cmp_result = run_metric_comparison(plan, normalized)
+    cmp_result = run_sweep(plan, normalized)
     ok = len(cmp_result.rows) == 30
 
-    sweep_result = run_p_sweep(plan, normalized)
+    p_grid = tuple(DistanceSpec("dsd", p) for p in DEFAULT_P_GRID)
+    sweep_result = run_sweep(dataclasses.replace(plan, metrics=p_grid), normalized)
     ok &= len(sweep_result.rows) == 50
 
     # purity against generator labels at the full instance, per metric;

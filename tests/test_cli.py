@@ -183,6 +183,31 @@ class TestCompare:
             assert key in manifest and manifest[key] is not None
 
 
+class TestSweepJson:
+    @pytest.mark.parametrize(
+        "command, mode, grid",
+        [
+            ("sweep", "p-sweep", [["dsd", p] for p in sweep.DEFAULT_P_GRID]),
+            ("compare", "metric-comparison",
+             [["minkowski", 1.5], ["cityblock", None], ["euclidean", None],
+              ["sqeuclidean", None], ["chebyshev", None], ["dsd", 1.523]]),
+        ],
+    )
+    def test_plan_lists_exactly_the_grid_that_ran(
+        self, dataset_csv, tmp_path, command, mode, grid
+    ):
+        out = tmp_path / "run"
+        rc = main([command, "-i", str(dataset_csv), "-o", str(out), "--instances", "100",
+                   "--jobs", "1"])
+        assert rc == 0
+        doc = json.loads((out / "sweep.json").read_text())
+        assert doc["mode"] == mode
+        assert doc["plan"]["metrics"] == grid
+        assert "p_values" not in doc["plan"]
+        assert doc["plan"]["init"] == "kmeans-plus-plus"
+        assert [[row["metric"], row["p"]] for row in doc["rows"]] == grid
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

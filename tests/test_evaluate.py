@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 from fractions import Fraction
 
@@ -129,6 +130,45 @@ class TestFlagOutliers:
             expected[members] = dj > cutoff
         assert expected.any()
         assert np.array_equal(flag_outliers(data, model, policy), expected)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    @pytest.mark.parametrize(
+        "policy",
+        [OutlierPolicy(kind="sigma", c=1.0), OutlierPolicy(kind="quantile", q=0.8)],
+        ids=lambda p: p.kind,
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_distance_call_matches_per_cluster_reference(
+        self, monkeypatch, spec, policy, order
+    ):
+        data = np.asarray(np.random.default_rng(31).random((400, 9)), order=order)
+        model = fitted(data, k=5, metric=spec)
+        labels = model.assignments
+        expected = np.zeros(data.shape[0], dtype=bool)
+        reference = np.empty(data.shape[0])
+        for j in range(5):
+            members = labels == j
+            dj = pairwise_distances(spec, data[members], model.centroids[j : j + 1])[:, 0]
+            reference[members] = dj
+            if policy.kind == "sigma":
+                cutoff = dj.mean() + policy.c * dj.std()
+            else:
+                cutoff = np.quantile(dj, policy.q)
+            expected[members] = dj > cutoff
+        calls = []
+
+        def spy(*args):
+            calls.append(pairwise_distances(*args))
+            return calls[-1]
+
+        # matclust.evaluate, the attribute, is the function of that name
+        module = importlib.import_module("matclust.evaluate")
+        monkeypatch.setattr(module, "pairwise_distances", spy)
+        flags = flag_outliers(data, model, policy)
+        assert len(calls) == 1 and calls[0].shape == (data.shape[0], 1)
+        assert np.array_equal(calls[0][:, 0], reference)
+        assert expected.any()
+        assert np.array_equal(flags, expected)
 
     def test_bad_parameters_rejected(self):
         data = np.random.default_rng(13).random((10, 2))

@@ -7,7 +7,7 @@ import pytest
 from matclust import sweep
 from matclust.data import default_material_specs, generate_synthetic
 from matclust.evaluate import EvaluationReport, OutlierPolicy
-from matclust.metrics import DistanceSpec
+from matclust.metrics import DSD, DistanceSpec
 from matclust.normalize import fit_transform
 from matclust.sweep import (
     DEFAULT_COMPARISON_METRICS,
@@ -17,10 +17,13 @@ from matclust.sweep import (
     SweepResult,
     SweepRow,
     emit_figure_data,
-    run_metric_comparison,
-    run_p_sweep,
+    run_sweep,
     shuffle_dataset,
 )
+
+
+def dsd_grid(*ps):
+    return tuple(DistanceSpec(DSD, p) for p in ps)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +35,7 @@ def small_data():
 
 def small_plan(**overrides):
     defaults = dict(
-        p_values=(1.0, 1.5, 1.523),
+        metrics=dsd_grid(1.0, 1.5, 1.523),
         instance_sizes=(60, 120, 240),
         k=3,
         seed=42,
@@ -49,20 +52,20 @@ class TestPlanValidation:
 
     def test_decreasing_sizes_rejected(self, small_data):
         with pytest.raises(ValueError, match="non-decreasing"):
-            run_p_sweep(small_plan(instance_sizes=(120, 60)), small_data)
+            run_sweep(small_plan(instance_sizes=(120, 60)), small_data)
 
     @pytest.mark.parametrize("sizes, bad", [((-5, 60), -5), ((0,), 0), ((60, 0, 120), 0)])
     def test_size_below_one_named(self, small_data, sizes, bad):
         with pytest.raises(ValueError, match=rf"instance sizes must be >= 1, got {bad} in"):
-            run_p_sweep(small_plan(instance_sizes=sizes), small_data)
+            run_sweep(small_plan(instance_sizes=sizes), small_data)
 
     def test_oversized_instance_rejected(self, small_data):
         with pytest.raises(ValueError, match="exceeds dataset size"):
-            run_p_sweep(small_plan(instance_sizes=(60, 500)), small_data)
+            run_sweep(small_plan(instance_sizes=(60, 500)), small_data)
 
     def test_out_of_range_p_rejected(self, small_data):
         with pytest.raises(ValueError, match="below 1"):
-            run_p_sweep(small_plan(p_values=(0.5,)), small_data)
+            run_sweep(small_plan(metrics=dsd_grid(0.5)), small_data)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -72,7 +75,6 @@ class TestPlanValidation:
             (dict(k=0), "k must be >= 1"),
             (dict(max_iter=0), "max_iter must be >= 1"),
             (dict(shift_tol=float("nan")), "shift_tol must be finite"),
-            (dict(init="farthest"), "unknown init mode"),
             (dict(seed=-1), "seed must be an integer >= 0, got -1"),
             (dict(seed=True), "seed must be an integer >= 0, got True"),
             (dict(seed=2.0), "seed must be an integer >= 0, got 2.0"),
@@ -81,44 +83,82 @@ class TestPlanValidation:
     def test_fit_settings_rejected_before_any_cell(self, small_data, monkeypatch, bad, message):
         calls = []
         monkeypatch.setattr(sweep, "fit", lambda *a: calls.append(a))
-        for run in (run_p_sweep, run_metric_comparison):
+        for metrics in (dsd_grid(1.5), DEFAULT_COMPARISON_METRICS):
             with pytest.raises(ValueError, match=message):
-                run(small_plan(jobs=2, **bad), small_data)
+                run_sweep(small_plan(metrics=metrics, jobs=2, **bad), small_data)
         assert calls == []
 
     def test_validation_happens_before_fitting(self, small_data):
         # error surfaces immediately even though the grid would be expensive
         with pytest.raises(ValueError, match="above 3"):
-            run_p_sweep(small_plan(p_values=tuple([3.5] + [1.5] * 1000)), small_data)
+            run_sweep(small_plan(metrics=dsd_grid(3.5, *[1.5] * 1000)), small_data)
 
-    def test_zero_jobs_rejected_built_or_replaced(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
-            SweepPlan(jobs=0)
-        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
-            dataclasses.replace(small_plan(), jobs=0)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(jobs=0), "jobs must be >= 1, got 0"),
+            (dict(jobs=1.5), "jobs must be an integer, got 1.5"),
+            (dict(jobs=True), "jobs must be an integer, got True"),
+            (dict(instance_sizes=(60.0, 120.0)),
+             r"instance sizes must be integers, got \(60.0, 120.0\)"),
+            (dict(instance_sizes=(60, True)), "instance sizes must be integers"),
+        ],
+        ids=["jobs 0", "jobs 1.5", "jobs True", "sizes 60.0 120.0", "size True"],
+    )
+    def test_bad_jobs_or_sizes_rejected_built_or_replaced(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SweepPlan(**bad)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(small_plan(), **bad)
+
+    def test_empty_grid_rejected_when_built(self):
+        with pytest.raises(ValueError, match="at least one metric is required"):
+            small_plan(metrics=())
+        with pytest.raises(ValueError, match="at least one metric is required"):
+            dataclasses.replace(small_plan(), metrics=())
+
+    def test_plan_holds_one_grid_and_no_init(self):
+        names = [f.name for f in dataclasses.fields(SweepPlan)]
+        assert names == [
+            "metrics", "instance_sizes", "k", "seed", "policy", "max_iter", "shift_tol", "jobs",
+        ]
+        assert SweepPlan().metrics == DEFAULT_COMPARISON_METRICS
+
+    @pytest.mark.parametrize(
+        "metrics, mode",
+        [
+            (dsd_grid(1.5), "p-sweep"),
+            (dsd_grid(*DEFAULT_P_GRID), "p-sweep"),
+            (DEFAULT_COMPARISON_METRICS, "metric-comparison"),
+            ((DistanceSpec("euclidean"),), "metric-comparison"),
+            ((*dsd_grid(1.5), DistanceSpec("euclidean")), "metric-comparison"),
+        ],
+    )
+    def test_mode_follows_the_grid(self, metrics, mode):
+        assert small_plan(metrics=metrics).mode == mode
 
 
 class TestPSweep:
     def test_single_cell(self, small_data):
-        res = run_p_sweep(small_plan(p_values=(1.5,), instance_sizes=(60,)), small_data)
+        res = run_sweep(small_plan(metrics=dsd_grid(1.5), instance_sizes=(60,)), small_data)
         assert len(res.rows) == 1
         row = res.rows[0]
         assert row.report.metric == "dsd" and row.report.p == 1.5 and row.report.total == 60
 
     def test_full_grid_is_complete_and_p_major(self, small_data):
-        res = run_p_sweep(small_plan(), small_data)
+        res = run_sweep(small_plan(), small_data)
         assert len(res.rows) == 9
         expected_order = [(p, s) for p in (1.0, 1.5, 1.523) for s in (60, 120, 240)]
         assert [(r.report.p, r.report.total) for r in res.rows] == expected_order
 
     def test_determinism(self, small_data):
-        a = run_p_sweep(small_plan(), small_data)
-        b = run_p_sweep(small_plan(), small_data)
+        a = run_sweep(small_plan(), small_data)
+        b = run_sweep(small_plan(), small_data)
         assert a.to_csv() == b.to_csv()
 
     def test_jobs_do_not_change_rows(self, small_data):
-        a = run_p_sweep(small_plan(jobs=1), small_data)
-        b = run_p_sweep(small_plan(jobs=4), small_data)
+        a = run_sweep(small_plan(jobs=1), small_data)
+        b = run_sweep(small_plan(jobs=4), small_data)
         assert a.to_csv() == b.to_csv()
 
     def test_prefix_nesting(self, small_data):
@@ -128,7 +168,7 @@ class TestPSweep:
 
 class TestMetricComparison:
     def test_six_by_three_grid(self, small_data):
-        res = run_metric_comparison(small_plan(), small_data)
+        res = run_sweep(small_plan(metrics=DEFAULT_COMPARISON_METRICS), small_data)
         assert len(res.rows) == 18
         assert [r.report.metric for r in res.rows[::3]] == [
             "minkowski",
@@ -140,18 +180,18 @@ class TestMetricComparison:
         ]
 
     def test_dsd_row_records_operating_p(self, small_data):
-        res = run_metric_comparison(small_plan(), small_data)
+        res = run_sweep(small_plan(metrics=DEFAULT_COMPARISON_METRICS), small_data)
         dsd_rows = [r.report for r in res.rows if r.report.metric == "dsd"]
         assert all(r.p == 1.523 for r in dsd_rows)
 
     def test_single_metric_single_size(self, small_data):
         plan = small_plan(metrics=(DistanceSpec("euclidean"),), instance_sizes=(60,))
-        res = run_metric_comparison(plan, small_data)
+        res = run_sweep(plan, small_data)
         assert len(res.rows) == 1
 
     def test_dsd_15_row_matches_euclidean_row(self, small_data):
-        sweep_res = run_p_sweep(small_plan(p_values=(1.5,)), small_data)
-        cmp_res = run_metric_comparison(
+        sweep_res = run_sweep(small_plan(metrics=dsd_grid(1.5)), small_data)
+        cmp_res = run_sweep(
             small_plan(metrics=(DistanceSpec("euclidean"),)), small_data
         )
         for a, b in zip(sweep_res.rows, cmp_res.rows):
@@ -161,7 +201,7 @@ class TestMetricComparison:
 
 class TestFigureData:
     def test_fig3_from_p_sweep(self, small_data, tmp_path):
-        res = run_p_sweep(small_plan(), small_data)
+        res = run_sweep(small_plan(), small_data)
         written = emit_figure_data(res, tmp_path)
         assert written == [str(tmp_path / "fig3.csv")]
         lines = (tmp_path / "fig3.csv").read_text().strip().split("\n")
@@ -169,7 +209,7 @@ class TestFigureData:
         assert len(lines) == 1 + 3  # one data row per p, at the largest size
 
     def test_fig4_fig5_from_comparison(self, small_data, tmp_path):
-        res = run_metric_comparison(small_plan(), small_data)
+        res = run_sweep(small_plan(metrics=DEFAULT_COMPARISON_METRICS), small_data)
         emit_figure_data(res, tmp_path)
         fig4 = (tmp_path / "fig4.csv").read_text().strip().split("\n")
         fig5 = (tmp_path / "fig5.csv").read_text().strip().split("\n")
@@ -178,8 +218,8 @@ class TestFigureData:
         assert len(fig4) == len(fig5) == 1 + 6
 
     def test_empty_result_rejected(self, small_data, tmp_path):
-        res = run_p_sweep(small_plan(p_values=(1.5,), instance_sizes=(60,)), small_data)
-        empty = type(res)(rows=(), mode="p-sweep", plan=res.plan)
+        res = run_sweep(small_plan(metrics=dsd_grid(1.5), instance_sizes=(60,)), small_data)
+        empty = type(res)(rows=(), plan=res.plan)
         with pytest.raises(ValueError, match="empty"):
             emit_figure_data(empty, tmp_path)
         assert not (tmp_path / "fig3.csv").exists()
@@ -187,17 +227,20 @@ class TestFigureData:
 
 class TestResultSerialization:
     def test_csv_schema(self, small_data):
-        res = run_p_sweep(small_plan(), small_data)
+        res = run_sweep(small_plan(), small_data)
         lines = res.to_csv().strip().split("\n")
         assert lines[0] == "metric,p,instance_size,c1,c2,c3,accuracy_pct,outlier_pct,seed"
         assert len(lines) == 1 + 9
 
     def test_json_carries_plan_and_wall_times(self, small_data):
-        res = run_p_sweep(small_plan(), small_data)
+        res = run_sweep(small_plan(), small_data)
         doc = json.loads(res.to_json())
         assert doc["mode"] == "p-sweep"
         assert doc["shuffle_seed"] == 42
         assert doc["plan"]["instance_sizes"] == [60, 120, 240]
+        assert doc["plan"]["metrics"] == [["dsd", 1.0], ["dsd", 1.5], ["dsd", 1.523]]
+        assert doc["plan"]["init"] == "kmeans-plus-plus"
+        assert "p_values" not in doc["plan"]
         assert all(row["wall_ms"] >= 0 for row in doc["rows"])
         assert all("iterations" in row for row in doc["rows"])
 
@@ -211,7 +254,7 @@ class TestResultSerialization:
             metric="dsd", p=p, seed=7,
         )
         row = SweepRow(report=report, iterations=4, wall_ms=1.5)
-        text = SweepResult(rows=(row,), mode="p-sweep", plan=plan).to_csv()
+        text = SweepResult(rows=(row,), plan=plan).to_csv()
         assert report.to_csv() == text
         p_cell = {None: "", 1.523: "1.5229999999999999", 2: "2"}[p]
         assert text.split("\n")[1] == (
