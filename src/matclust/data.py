@@ -13,8 +13,8 @@ Blank lines are skipped but count toward that row number.
 Outputs: every CSV float is rendered by ``fmt_float`` (17 significant
 digits, so every save/load round-trip is exact) and every table by
 ``csv_text``; every JSON document by ``json_text`` (compact, one trailing
-newline, ``NaN``/``Infinity`` rejected). ``save_report`` is the one function
-that writes an output file.
+newline, ``NaN``/``Infinity`` rejected, a numpy integer written as an int).
+``save_report`` is the one function that writes an output file.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -303,8 +304,9 @@ def csv_text(header, rows) -> str:
 
 
 def json_text(doc) -> str:
-    """The one JSON rendering: compact, newline-terminated, no NaN/Infinity."""
-    return json.dumps(doc, allow_nan=False) + "\n"
+    """The one JSON rendering: compact, newline-terminated, no NaN/Infinity;
+    a numpy integer is written as the int it equals."""
+    return json.dumps(doc, allow_nan=False, default=operator.index) + "\n"
 
 
 def save_report(text: str, path) -> None:

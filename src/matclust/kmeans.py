@@ -29,11 +29,6 @@ import numpy as np
 from .data import check_seed, json_text
 from .metrics import DistanceSpec, nearest_centers, pairwise_distances, squared_norms
 
-INIT_RANDOM = "random-points"
-INIT_KMEANS_PP = "kmeans-plus-plus"
-INIT_EXPLICIT = "explicit"
-_INIT_MODES = (INIT_RANDOM, INIT_KMEANS_PP, INIT_EXPLICIT)
-
 DEFAULT_SEED = 42
 
 # converged-reason tags
@@ -44,18 +39,29 @@ MAX_ITER = "max-iter"
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    """The settings of one fit, checked by check_settings when built."""
+    """The settings of one fit, checked when built. A fit starts from
+    initial_centroids when given (k finite rows; fit checks that they are as
+    wide as the data), else from k-means++ seeding under the metric."""
 
     k: int
     metric: DistanceSpec = DistanceSpec("euclidean")
-    init: str = INIT_KMEANS_PP
     seed: int = DEFAULT_SEED
     max_iter: int = 100
     shift_tol: float = 1e-9
     initial_centroids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        check_settings(self.k, self.init, self.max_iter, self.shift_tol, self.seed)
+        check_settings(self.k, (self.metric,), self.max_iter, self.shift_tol, self.seed)
+        if self.initial_centroids is None:
+            return
+        ctr = np.asarray(self.initial_centroids, dtype=np.float64)
+        if ctr.ndim != 2 or ctr.shape[0] != self.k:
+            raise ValueError(
+                f"initial_centroids must be a 2-D array of k = {self.k} rows, "
+                f"got shape {ctr.shape}"
+            )
+        if not np.isfinite(ctr).all():
+            raise ValueError("initial_centroids have a NaN or infinite entry")
 
 
 @dataclass(frozen=True)
@@ -96,51 +102,40 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def check_settings(k, init: str, max_iter, shift_tol, seed) -> None:
-    """Reject a k, init mode, max_iter, shift_tol or seed that no fit can
-    run with, whatever the data; ClusteringConfig and SweepPlan call it
-    when built."""
+def check_settings(k, metrics, max_iter, shift_tol, seed) -> None:
+    """Reject a k, metric, max_iter, shift_tol or seed that no fit can run
+    with, whatever the data; ClusteringConfig (with its one metric) and
+    SweepPlan (with its grid) call it when built."""
     check_count("k", k)
+    for metric in metrics:
+        if not isinstance(metric, DistanceSpec):
+            raise ValueError(f"a metric must be a DistanceSpec, got {metric!r}")
     check_count("max_iter", max_iter)
     if not (math.isfinite(shift_tol) and shift_tol >= 0):
         raise ValueError(f"shift_tol must be finite and >= 0, got {shift_tol}")
-    if init not in _INIT_MODES:
-        raise ValueError(f"unknown init mode {init!r}")
     check_seed(seed)
 
 
-def _check_config(data: np.ndarray, config: ClusteringConfig) -> None:
+def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
+    """The k starting centroids of a fit: a float64 copy of
+    config.initial_centroids when given, else k-means++ seeding."""
+    data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or 0 in data.shape:
         raise ValueError("dataset must be a non-empty 2-D array")
     if config.k > data.shape[0]:
-        raise ValueError(
-            f"k ({config.k}) exceeds dataset size ({data.shape[0]})"
-        )
-
-
-def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
-    """Choose the k initial centroids according to config.init."""
-    data = np.asarray(dataset, dtype=np.float64)
-    _check_config(data, config)
-    rng = np.random.default_rng(config.seed)
-
-    if config.init == INIT_EXPLICIT:
-        if config.initial_centroids is None:
-            raise ValueError("explicit init requires initial_centroids")
-        ctr = np.asarray(config.initial_centroids, dtype=np.float64)
-        if ctr.shape != (config.k, data.shape[1]):
+        raise ValueError(f"k ({config.k}) exceeds dataset size ({data.shape[0]})")
+    if config.initial_centroids is not None:
+        ctr = np.array(config.initial_centroids, dtype=np.float64)
+        if ctr.shape[1] != data.shape[1]:
             raise ValueError(
-                f"explicit centroids have shape {ctr.shape}, "
-                f"expected {(config.k, data.shape[1])}"
+                f"initial_centroids have shape {ctr.shape} but the data has "
+                f"shape {data.shape}: their widths differ"
             )
-        return ctr.copy()
-
-    if config.init == INIT_RANDOM:
-        idx = rng.choice(data.shape[0], size=config.k, replace=False)
-        return data[idx].copy()
+        return ctr
 
     # k-means++: D^2 weighting under the configured metric, by each point's
     # distance to its nearest chosen centroid so far
+    rng = np.random.default_rng(config.seed)
     n = data.shape[0]
     chosen = np.empty(config.k, dtype=np.intp)
     chosen[0] = rng.integers(0, n)

@@ -29,9 +29,7 @@ import numpy as np
 
 from .data import csv_text, json_text, save_report
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
-from .kmeans import (
-    DEFAULT_SEED, INIT_KMEANS_PP, ClusteringConfig, check_count, check_settings, fit,
-)
+from .kmeans import DEFAULT_SEED, ClusteringConfig, check_count, check_settings, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec
 
 # p grid and instance sizes used by default
@@ -76,7 +74,7 @@ class SweepPlan:
             raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
         if any(later < size for size, later in zip(sizes, sizes[1:])):
             raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
-        check_settings(self.k, INIT_KMEANS_PP, self.max_iter, self.shift_tol, self.seed)
+        check_settings(self.k, self.metrics, self.max_iter, self.shift_tol, self.seed)
         if self.k > min(sizes):
             raise ValueError(
                 f"k ({self.k}) exceeds the smallest instance size ({min(sizes)})"
@@ -123,7 +121,7 @@ class SweepResult:
                     "metrics": [[m.kind, m.p] for m in self.plan.metrics],
                     "seed": self.plan.seed,
                     "policy": self.plan.policy.kind,
-                    "init": INIT_KMEANS_PP,
+                    "init": "kmeans-plus-plus",
                     "max_iter": self.plan.max_iter,
                     "shift_tol": self.plan.shift_tol,
                 },

@@ -170,9 +170,7 @@ def test_criterion_4_brute_force_oracle():
     best = min(
         fit(
             blobs,
-            ClusteringConfig(
-                k=2, metric=DistanceSpec("euclidean"), init="kmeans-plus-plus", seed=s
-            ),
+            ClusteringConfig(k=2, metric=DistanceSpec("euclidean"), seed=s),
         ).final_sse
         for s in range(20)
     )

@@ -82,10 +82,7 @@ class TestFlagOutliers:
         data = np.concatenate([near, far])
         model = fit(
             data,
-            ClusteringConfig(
-                k=1, metric=EUCLID, init="explicit", initial_centroids=np.zeros((1, 2)),
-                max_iter=1,
-            ),
+            ClusteringConfig(k=1, metric=EUCLID, initial_centroids=np.zeros((1, 2)), max_iter=1),
         )
         flags = flag_outliers(data, model, OutlierPolicy(kind="sigma", c=3.0))
         assert flags.tolist() == [False] * 10 + [True]
@@ -211,10 +208,7 @@ class TestEvaluate:
         )
         model = fit(
             near,
-            ClusteringConfig(
-                k=1, metric=EUCLID, init="explicit",
-                initial_centroids=np.zeros((1, 2)), max_iter=1,
-            ),
+            ClusteringConfig(k=1, metric=EUCLID, initial_centroids=np.zeros((1, 2)), max_iter=1),
         )
         report = evaluate(near, model, OutlierPolicy(kind="quantile", q=0.9))
         assert report.clustered == 9
@@ -259,6 +253,14 @@ class TestReportSerialization:
         assert doc["p"] == 1.523
         assert doc["seed"] == 9
         assert doc["accuracy_pct"] + doc["outlier_pct"] == 100.0
+
+    def test_numpy_integer_seed_gives_the_same_json(self):
+        data = np.random.default_rng(31).random((50, 2))
+        docs = {
+            evaluate(data, fitted(data, k=3, seed=seed), OutlierPolicy()).to_json()
+            for seed in (9, np.int64(9))
+        }
+        assert len(docs) == 1
 
     def test_csv_layout(self):
         report = self.make_report()

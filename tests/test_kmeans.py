@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from matclust import kmeans, metrics
 from matclust.kmeans import (
     CENTROID_SHIFT,
-    INIT_EXPLICIT,
-    INIT_KMEANS_PP,
-    INIT_RANDOM,
+    DEFAULT_SEED,
     MAX_ITER,
     STABLE_ASSIGNMENTS,
     ClusteringConfig,
@@ -39,6 +37,20 @@ ALL_SPECS = [
 
 SEEDING_SPECS = ALL_SPECS + [DistanceSpec("dsd", 1.0), DistanceSpec("dsd", 3.0)]
 
+# the two ways a fit starts: k-means++, or k distinct rows given as initial_centroids
+STARTS = ["kmeans-plus-plus", "random-rows"]
+
+
+def random_rows(data: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k distinct rows of data, chosen by seed."""
+    return data[np.random.default_rng(seed).choice(data.shape[0], size=k, replace=False)]
+
+
+def start_config(start: str, data: np.ndarray, k: int, seed: int = DEFAULT_SEED, **fields):
+    """A config that seeds with k-means++, or with random_rows(data, k, seed)."""
+    rows = random_rows(data, k, seed) if start == "random-rows" else None
+    return ClusteringConfig(k=k, seed=seed, initial_centroids=rows, **fields)
+
 
 def reference_kmeans_pp(data: np.ndarray, config: ClusteringConfig) -> np.ndarray:
     """k-means++ that recomputes the distances to every chosen centroid."""
@@ -59,10 +71,10 @@ def reference_fit(data: np.ndarray, config: ClusteringConfig):
     """Plain Lloyd: full distance matrices, np.add.at sums, fit's stopping rules.
 
     Returns (centroids, assignments, sse history, reason)."""
-    if config.init == INIT_KMEANS_PP:
+    if config.initial_centroids is None:
         centroids = reference_kmeans_pp(data, config)
     else:
-        centroids = init_centroids(data, config)
+        centroids = np.array(config.initial_centroids, dtype=np.float64)
     labels, reason, history = None, MAX_ITER, []
     for _ in range(config.max_iter):
         new_labels = np.argmin(pairwise_distances(config.metric, data, centroids), axis=1)
@@ -131,31 +143,17 @@ def brute_force_sse(data: np.ndarray, k: int) -> float:
 
 
 class TestInitCentroids:
-    def test_random_points_are_distinct_rows(self):
-        data = np.arange(10.0).reshape(-1, 1)
-        cfg = ClusteringConfig(k=4, metric=EUCLID, init=INIT_RANDOM, seed=3)
-        ctr = init_centroids(data, cfg)
-        assert len({float(c) for c in ctr[:, 0]}) == 4
-        assert all(float(c) in set(data[:, 0]) for c in ctr[:, 0])
-
-    def test_k_equals_n_is_permutation(self):
-        data = np.arange(5.0).reshape(-1, 1)
-        cfg = ClusteringConfig(k=5, metric=EUCLID, init=INIT_RANDOM, seed=0)
-        ctr = init_centroids(data, cfg)
-        assert sorted(ctr[:, 0].tolist()) == data[:, 0].tolist()
-
     def test_same_seed_same_centroids(self):
         rng = np.random.default_rng(5)
         data = rng.random((50, 3))
-        for mode in (INIT_RANDOM, INIT_KMEANS_PP):
-            cfg = ClusteringConfig(k=4, metric=EUCLID, init=mode, seed=99)
-            a = init_centroids(data, cfg)
-            b = init_centroids(data, cfg)
-            assert np.array_equal(a, b)
+        cfg = ClusteringConfig(k=4, metric=EUCLID, seed=99)
+        a = init_centroids(data, cfg)
+        b = init_centroids(data, cfg)
+        assert np.array_equal(a, b)
 
     def test_kmeans_pp_k1_is_one_row(self):
         data = np.arange(6.0).reshape(-1, 1)
-        cfg = ClusteringConfig(k=1, metric=EUCLID, init=INIT_KMEANS_PP, seed=1)
+        cfg = ClusteringConfig(k=1, metric=EUCLID, seed=1)
         ctr = init_centroids(data, cfg)
         assert ctr.shape == (1, 1)
         assert float(ctr[0, 0]) in set(data[:, 0])
@@ -165,12 +163,33 @@ class TestInitCentroids:
         with pytest.raises(ValueError, match="exceeds dataset size"):
             init_centroids(BLOBS_1D, cfg)
 
-    def test_explicit_wrong_shape_rejected(self):
-        cfg = ClusteringConfig(
-            k=2, metric=EUCLID, init=INIT_EXPLICIT, initial_centroids=np.ones((2, 3))
-        )
-        with pytest.raises(ValueError, match="shape"):
-            init_centroids(BLOBS_1D, cfg)
+    def test_given_rows_of_the_wrong_width_rejected_at_fit(self):
+        cfg = ClusteringConfig(k=2, metric=EUCLID, initial_centroids=np.ones((2, 3)))
+        message = r"shape \(2, 3\) but the data has shape \(4, 1\)"
+        for call in (fit, init_centroids):
+            with pytest.raises(ValueError, match=message):
+                call(BLOBS_1D, cfg)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (np.ones((3, 1)), r"k = 2 rows, got shape \(3, 1\)"),
+            (np.ones(2), r"k = 2 rows, got shape \(2,\)"),
+            (np.array([[0.0], [np.nan]]), "initial_centroids have a NaN or infinite entry"),
+            (np.array([[-np.inf], [1.0]]), "initial_centroids have a NaN or infinite entry"),
+        ],
+        ids=["3 rows", "1-D", "nan", "inf"],
+    )
+    def test_unusable_given_rows_rejected_built_or_replaced(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            ClusteringConfig(k=2, initial_centroids=given)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ClusteringConfig(k=2), initial_centroids=given)
+
+    def test_replacing_k_checks_the_given_rows(self):
+        cfg = ClusteringConfig(k=2, initial_centroids=np.ones((2, 1)))
+        with pytest.raises(ValueError, match=r"k = 3 rows, got shape \(2, 1\)"):
+            dataclasses.replace(cfg, k=3)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_kmeans_pp_matches_full_recompute(self, spec):
@@ -179,7 +198,7 @@ class TestInitCentroids:
         data = np.concatenate([rng.random((60, 3)), np.zeros((10, 3))])
         for seed in range(4):
             for k in (2, 5, 8):
-                cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+                cfg = ClusteringConfig(k=k, metric=spec, seed=seed)
                 assert np.array_equal(init_centroids(data, cfg), reference_kmeans_pp(data, cfg))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -187,7 +206,7 @@ class TestInitCentroids:
     @given(problem=degenerate_problems(), seed=st.integers(0, 2**16))
     def test_kmeans_pp_matches_full_recompute_on_degenerate_data(self, spec, problem, seed):
         data, k = problem
-        cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+        cfg = ClusteringConfig(k=k, metric=spec, seed=seed)
         expected = reference_kmeans_pp(data, cfg)
         assert init_centroids(data, cfg).tobytes() == expected.tobytes()
 
@@ -197,7 +216,7 @@ class TestInitCentroids:
         n, k = 800, 16
         means = rng.random((k, 3)) * 10.0
         data = means[rng.integers(0, k, n)] + 0.05 * rng.random((n, 3))
-        cfg = ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=5)
+        cfg = ClusteringConfig(k=k, metric=spec, seed=5)
         core = metrics._exact
         for points in (data, data + 1e8):
             expected = reference_kmeans_pp(points, cfg)
@@ -220,7 +239,7 @@ class TestInitCentroids:
         rng = np.random.default_rng(4)
         data = rng.integers(0, 3, (30, 3)).astype(float)
         data[::3] = rng.random((10, 3))
-        configs = [ClusteringConfig(k=k, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+        configs = [ClusteringConfig(k=k, metric=spec, seed=seed)
                    for k in (2, 6) for seed in range(3)]
         expected = [reference_kmeans_pp(data, cfg).tobytes() for cfg in configs]
         # 7-row exact blocks: ragged blocks in every step
@@ -231,16 +250,19 @@ class TestInitCentroids:
     def test_kmeans_pp_overflow_rejected_without_warning(self, spec):
         huge = np.array([[1e200, -1e200], [0.5, 0.5], [-1e200, 1e200]])
         for seed in range(3):
-            cfg = ClusteringConfig(k=3, metric=spec, init=INIT_KMEANS_PP, seed=seed)
+            cfg = ClusteringConfig(k=3, metric=spec, seed=seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="k-means\\+\\+ weights are not finite"):
                     init_centroids(huge, cfg)
 
-    def test_explicit_echoes_user_centroids(self):
-        given = np.array([[0.5], [9.5]])
-        cfg = ClusteringConfig(k=2, metric=EUCLID, init=INIT_EXPLICIT, initial_centroids=given)
-        assert np.array_equal(init_centroids(BLOBS_1D, cfg), given)
+    def test_given_rows_are_returned_as_a_float64_copy(self):
+        given = np.array([[0], [9]])
+        cfg = ClusteringConfig(k=2, metric=EUCLID, initial_centroids=given)
+        ctr = init_centroids(BLOBS_1D, cfg)
+        assert ctr.dtype == np.float64 and ctr.tolist() == [[0.0], [9.0]]
+        ctr[0, 0] = 5.0
+        assert given[0, 0] == 0
 
 
 def exact_argmin(spec, points, centers, row_norms=None):
@@ -270,8 +292,8 @@ class TestAssign:
         rng = np.random.default_rng(71)
         grid = rng.integers(0, 4, (120, 3)).astype(float)  # ties everywhere
         for data in (grid, grid + 1e6, rng.random((200, 5))):
-            for init in (INIT_KMEANS_PP, INIT_RANDOM):
-                cfg = ClusteringConfig(k=4, metric=spec, init=init, seed=3, max_iter=20)
+            for start in STARTS:
+                cfg = start_config(start, data, 4, seed=3, metric=spec, max_iter=20)
                 model = fit(data, cfg)
                 with monkeypatch.context() as patch:
                     patch.setattr(kmeans, "nearest_centers", exact_argmin)
@@ -282,13 +304,13 @@ class TestAssign:
 
 
 class TestFitReference:
-    @pytest.mark.parametrize("init", [INIT_KMEANS_PP, INIT_RANDOM])
+    @pytest.mark.parametrize("start", STARTS)
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     @settings(max_examples=30, deadline=None)
     @given(problem=degenerate_problems(), seed=st.integers(0, 2**16))
-    def test_fit_equals_plain_lloyd_or_raises(self, spec, init, problem, seed):
+    def test_fit_equals_plain_lloyd_or_raises(self, spec, start, problem, seed):
         data, k = problem
-        cfg = ClusteringConfig(k=k, metric=spec, init=init, seed=seed, max_iter=20)
+        cfg = start_config(start, data, k, seed=seed, metric=spec, max_iter=20)
         try:
             expected = reference_fit(data, cfg)
         except ValueError as exc:
@@ -351,8 +373,7 @@ class TestUpdateCentroids:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="cluster 1 cannot be re-seeded.*normalize the data"):
                 update_centroids(data, [0, 0, 2, 2], 3, prev_centroids=prev, metric=spec)
-            cfg = ClusteringConfig(k=3, metric=spec, init=INIT_EXPLICIT,
-                                   initial_centroids=prev, max_iter=1)
+            cfg = ClusteringConfig(k=3, metric=spec, initial_centroids=prev, max_iter=1)
             with pytest.raises(ValueError, match="normalize the data"):
                 fit(data, cfg)
 
@@ -394,8 +415,8 @@ class TestLayouts:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_fit_gives_the_same_model(self, spec):
         for data in self.datasets():
-            for init in (INIT_KMEANS_PP, INIT_RANDOM):
-                cfg = ClusteringConfig(k=5, metric=spec, init=init, seed=4, max_iter=20)
+            for start in STARTS:
+                cfg = start_config(start, data, 5, seed=4, metric=spec, max_iter=20)
                 models = [fit(view, cfg) for view in layouts(data)]
                 assert len({(m.to_json(), m.sse_per_iter) for m in models}) == 1
 
@@ -430,7 +451,6 @@ class TestFit:
         cfg = ClusteringConfig(
             k=2,
             metric=EUCLID,
-            init=INIT_EXPLICIT,
             initial_centroids=np.array([[1.0], [9.0]]),
         )
         model = fit(BLOBS_1D, cfg)
@@ -492,7 +512,6 @@ class TestFit:
             (dict(max_iter=0), "max_iter must be >= 1"),
             (dict(max_iter=2.5), "max_iter must be an integer"),
             (dict(max_iter=True), "max_iter must be an integer"),
-            (dict(init="farthest"), "unknown init mode 'farthest'"),
             (dict(seed=-1), "seed must be an integer >= 0, got -1"),
             (dict(seed=True), "seed must be an integer >= 0, got True"),
             (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
@@ -502,6 +521,17 @@ class TestFit:
     def test_bad_settings_rejected(self, bad, message):
         with pytest.raises(ValueError, match=message):
             fit(BLOBS_1D, ClusteringConfig(k=2, metric=EUCLID, **bad))
+
+    def test_metric_that_is_not_a_spec_rejected_built_or_replaced(self):
+        message = "a metric must be a DistanceSpec, got 'euclidean'"
+        with pytest.raises(ValueError, match=message):
+            ClusteringConfig(k=2, metric="euclidean")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ClusteringConfig(k=2), metric="euclidean")
+
+    def test_config_has_one_seeding_field(self):
+        names = [f.name for f in dataclasses.fields(ClusteringConfig)]
+        assert names == ["k", "metric", "seed", "max_iter", "shift_tol", "initial_centroids"]
 
     def test_zero_k_rejected_built_or_replaced(self):
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
@@ -524,16 +554,16 @@ class TestFit:
         with pytest.raises(ValueError, match="row 7 of the dataset"):
             fit(data, ClusteringConfig(k=3))
 
-    @pytest.mark.parametrize("init", [INIT_KMEANS_PP, INIT_RANDOM])
+    @pytest.mark.parametrize("start", STARTS)
     @pytest.mark.parametrize(
         "spec", [DistanceSpec("sqeuclidean"), DistanceSpec("dsd", 1.523), DistanceSpec("cityblock")],
         ids=str,
     )
-    def test_overflow_rejected(self, spec, init):
+    def test_overflow_rejected(self, spec, start):
         data = np.random.default_rng(79).random((50, 4)) * 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="overflow.*normalize the data"):
-                fit(data, ClusteringConfig(k=3, metric=spec, init=init))
+                fit(data, start_config(start, data, 3, metric=spec))
 
     @pytest.mark.parametrize(
         "spec", [DistanceSpec("cityblock"), DistanceSpec("chebyshev"), DistanceSpec("minkowski", 2.0)],
@@ -544,7 +574,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="SSE overflows float64; normalize the data"):
-                fit(data, ClusteringConfig(k=3, metric=spec, init=INIT_RANDOM))
+                fit(data, start_config("random-rows", data, 3, metric=spec))
 
     def test_converged_with_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match=r"clusters \[1, 2\] are empty.* 1 distinct points"):
@@ -554,8 +584,7 @@ class TestFit:
         # every point is nearer 0 than 100, so cluster 1 empties and is
         # reseeded; the cap stops the run before the reseed is assigned
         cfg = ClusteringConfig(
-            k=2, metric=EUCLID, init=INIT_EXPLICIT,
-            initial_centroids=np.array([[0.0], [100.0]]), max_iter=1,
+            k=2, metric=EUCLID, initial_centroids=np.array([[0.0], [100.0]]), max_iter=1,
         )
         model = fit(np.array([[0.0], [1.0], [10.0]]), cfg)
         assert model.converged_reason == MAX_ITER
@@ -625,9 +654,7 @@ class TestProperties:
         seeds = data[[3, 30, 55]]
         partitions = []
         for perm in itertools.permutations(range(3)):
-            cfg = ClusteringConfig(
-                k=3, metric=EUCLID, init=INIT_EXPLICIT, initial_centroids=seeds[list(perm)]
-            )
+            cfg = ClusteringConfig(k=3, metric=EUCLID, initial_centroids=seeds[list(perm)])
             model = fit(data, cfg)
             partition = frozenset(
                 frozenset(np.flatnonzero(model.assignments == j).tolist())
@@ -655,3 +682,10 @@ class TestSerialization:
         assert doc["p"] == 1.523
         assert doc["seed"] == 5
         assert len(doc["assignments"]) == 4
+
+    def test_numpy_integer_seed_gives_the_same_json(self):
+        docs = {
+            fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), seed=seed)).to_json()
+            for seed in (3, np.int64(3))
+        }
+        assert len(docs) == 1

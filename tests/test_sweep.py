@@ -117,6 +117,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="at least one metric is required"):
             dataclasses.replace(small_plan(), metrics=())
 
+    def test_metric_that_is_not_a_spec_rejected_built_or_replaced(self):
+        message = "a metric must be a DistanceSpec, got 'euclidean'"
+        with pytest.raises(ValueError, match=message):
+            SweepPlan(metrics=("euclidean",))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(small_plan(), metrics=(DistanceSpec("euclidean"), "euclidean"))
+
     def test_plan_holds_one_grid_and_no_init(self):
         names = [f.name for f in dataclasses.fields(SweepPlan)]
         assert names == [
@@ -243,6 +250,19 @@ class TestResultSerialization:
         assert "p_values" not in doc["plan"]
         assert all(row["wall_ms"] >= 0 for row in doc["rows"])
         assert all("iterations" in row for row in doc["rows"])
+
+    def test_numpy_integers_give_the_same_json(self, small_data):
+        def rendered(plan):
+            result = run_sweep(plan, small_data)
+            rows = tuple(dataclasses.replace(r, wall_ms=0.0) for r in result.rows)
+            return SweepResult(rows=rows, plan=plan).to_json()
+
+        plan = small_plan()
+        as_numpy = dataclasses.replace(
+            plan, instance_sizes=tuple(np.array(plan.instance_sizes)),
+            k=np.int64(plan.k), seed=np.int64(plan.seed),
+        )
+        assert rendered(as_numpy) == rendered(plan)
 
     @pytest.mark.parametrize("p", [None, 1.523, 2])
     def test_csv_row_matches_evaluation_report(self, p):
