@@ -11,7 +11,7 @@ from .metrics import DistanceSpec, distance, pairwise_distances
 from .normalize import FeatureStats, fit_transform, transform
 from .kmeans import ClusteringConfig, ClusterModel, fit
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate
-from .data import ClassSpec, Dataset, generate_synthetic, load_csv
+from .data import Dataset, generate_synthetic, load_csv
 from .sweep import SweepPlan, SweepResult, run_sweep
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "EvaluationReport",
     "OutlierPolicy",
     "evaluate",
-    "ClassSpec",
     "Dataset",
     "generate_synthetic",
     "load_csv",

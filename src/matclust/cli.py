@@ -17,8 +17,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    ClassSpec,
-    default_material_specs,
     generate_synthetic,
     json_text,
     load_csv,
@@ -119,10 +117,7 @@ def _load_normalized(args) -> tuple[np.ndarray, object]:
 
 
 def _cmd_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
-    specs: list[ClassSpec] = default_material_specs(args.classes, args.dims, args.count)
-    dataset = generate_synthetic(specs, args.seed)
+    dataset = generate_synthetic(args.classes, args.dims, args.count, args.seed)
     out = Path(args.output)
     save_dataset_csv(dataset, out)
     write_json(_manifest(args, {"rows_written": dataset.n_points}), f"{out}.manifest.json")

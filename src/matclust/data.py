@@ -26,7 +26,7 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,35 +57,6 @@ class Dataset:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class ClassSpec:
-    """Sampling recipe for one material class.
-
-    sampling is "uniform" (params are per-attribute (low, high)) or "normal"
-    (params are per-attribute (mean, sigma)). Checked when built.
-    """
-
-    name: str
-    count: int
-    sampling: str
-    params: tuple[tuple[float, float], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"class {self.name!r}: count must be >= 0")
-        if self.sampling not in ("uniform", "normal"):
-            raise ValueError(f"class {self.name!r}: unknown sampling {self.sampling!r}")
-        for i, (a, b) in enumerate(self.params):
-            if self.sampling == "uniform" and a > b:
-                raise ValueError(
-                    f"class {self.name!r}, attribute {i}: low {a} > high {b}"
-                )
-            if self.sampling == "normal" and not b > 0:
-                raise ValueError(
-                    f"class {self.name!r}, attribute {i}: sigma must be > 0, got {b}"
-                )
 
 
 def load_csv(path) -> Dataset:
@@ -214,79 +185,50 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def generate_synthetic(specs, seed: int) -> Dataset:
-    """Sample each class independently, label the rows, shuffle them once.
+def check_count(name: str, value) -> None:
+    """Reject a value that is not an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
-    A pure function of (specs, seed): the same inputs always produce an
-    identical dataset.
+
+_CLASS_NAMES = ("polymer", "ceramic", "metal")
+
+
+def generate_synthetic(classes: int, dims: int, count: int, seed: int) -> Dataset:
+    """Well-separated normal classes over attributes spanning many magnitudes.
+
+    Attribute a has scale 10**(-3 + a % 12), so the scales cycle through
+    1e-3 .. 1e8, and sigma 0.03 * scale. Class c has mean
+    (0.2 + 0.3 c) * scale: class means sit 10 sigma apart, comfortably past
+    the 5 sigma separation needed for near-perfect recovery by K-means. The
+    first count % classes classes get one point more than the rest. The
+    classes are polymer, ceramic and metal, or class-1 .. class-N when there
+    are more than three. Each class is sampled as one block, then the rows
+    are shuffled once, so the same arguments always give an identical
+    dataset.
     """
+    for name, value in (("classes", classes), ("dims", dims), ("count", count)):
+        check_count(name, value)
     check_seed(seed)
-    specs = list(specs)
-    if not specs:
-        raise ValueError("at least one class spec is required")
-    dims = {len(s.params) for s in specs}
-    if len(dims) != 1:
-        raise ValueError(f"class specs disagree on attribute count: {sorted(dims)}")
-    dim = dims.pop()
-    if dim == 0:
-        raise ValueError("class specs must define at least one attribute")
-    total = sum(s.count for s in specs)
-    if total < 1:
-        raise ValueError("total point count must be >= 1")
-
+    scale = np.array([10.0 ** (-3 + a % 12) for a in range(dims)])
+    sigma = 0.03 * scale
     rng = np.random.default_rng(seed)
     blocks = []
     labels: list[str] = []
-    for s in specs:
-        params = np.asarray(s.params, dtype=np.float64)
-        if s.sampling == "uniform":
-            block = rng.uniform(params[:, 0], params[:, 1], size=(s.count, dim))
-        else:
-            block = rng.normal(params[:, 0], params[:, 1], size=(s.count, dim))
-        blocks.append(block)
-        labels.extend([s.name] * s.count)
-
-    points = np.concatenate(blocks, axis=0)
-    order = rng.permutation(total)
-    return Dataset(
-        points=points[order],
-        labels=tuple(labels[i] for i in order),
-        attribute_names=tuple(f"attr{i + 1}" for i in range(dim)),
-    )
-
-
-_DEFAULT_CLASS_NAMES = ("polymer", "ceramic", "metal")
-
-
-def default_material_specs(
-    classes: int = 3, dims: int = 25, count: int = 5097
-) -> list[ClassSpec]:
-    """Well-separated normal classes over attributes spanning many magnitudes.
-
-    Per attribute a the scale cycles through 1e-3 .. 1e8; class means sit
-    10 sigma apart, comfortably past the 5 sigma separation needed for
-    near-perfect recovery by K-means.
-    """
-    if classes < 1 or dims < 1 or count < 1:
-        raise ValueError("classes, dims and count must all be >= 1")
-    base = count // classes
-    counts = [base + (1 if i < count % classes else 0) for i in range(classes)]
-    specs = []
     for c in range(classes):
-        if classes <= len(_DEFAULT_CLASS_NAMES):
-            name = _DEFAULT_CLASS_NAMES[c]
-        else:
-            name = f"class-{c + 1}"
-        params = []
-        for a in range(dims):
-            scale = 10.0 ** (-3 + (a % 12))
-            sigma = 0.03 * scale
-            mean = scale * (0.2 + 0.3 * c)
-            params.append((mean, sigma))
-        specs.append(
-            ClassSpec(name=name, count=counts[c], sampling="normal", params=tuple(params))
-        )
-    return specs
+        size = count // classes + (c < count % classes)
+        name = _CLASS_NAMES[c] if classes <= len(_CLASS_NAMES) else f"class-{c + 1}"
+        blocks.append(rng.normal(scale * (0.2 + 0.3 * c), sigma, size=(size, dims)))
+        labels += [name] * size
+
+    order = rng.permutation(count)
+    return Dataset(
+        points=np.concatenate(blocks)[order],
+        labels=tuple(labels[i] for i in order),
+        attribute_names=tuple(f"attr{a + 1}" for a in range(dims)),
+    )
 
 
 def csv_text(header, rows) -> str:

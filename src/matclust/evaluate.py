@@ -135,15 +135,6 @@ def cluster_accuracy_pct(clustered: int, total: int) -> float:
     return 100.0 * clustered / total
 
 
-def outlier_pct(clustered: int, total: int) -> float:
-    """100 * (total - clustered) / total."""
-    if total <= 0:
-        raise ValueError("total must be positive")
-    if not 0 <= clustered <= total:
-        raise ValueError(f"clustered ({clustered}) must lie in [0, total={total}]")
-    return 100.0 * (total - clustered) / total
-
-
 def evaluate(dataset, model: ClusterModel, policy: OutlierPolicy) -> EvaluationReport:
     """Count clustered points per cluster (excluding flagged outliers) and
     compute the accuracy / outlier percentage pair."""

@@ -21,12 +21,11 @@ always produces a bitwise-identical model.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_seed, json_text
+from .data import check_count, check_seed, json_text
 from .metrics import DistanceSpec, nearest_centers, pairwise_distances, squared_norms
 
 DEFAULT_SEED = 42
@@ -40,8 +39,9 @@ MAX_ITER = "max-iter"
 @dataclass(frozen=True)
 class ClusteringConfig:
     """The settings of one fit, checked when built. A fit starts from
-    initial_centroids when given (k finite rows; fit checks that they are as
-    wide as the data), else from k-means++ seeding under the metric."""
+    initial_centroids when given (k finite rows, kept as a read-only float64
+    copy; fit checks that they are as wide as the data), else from k-means++
+    seeding under the metric."""
 
     k: int
     metric: DistanceSpec = DistanceSpec("euclidean")
@@ -54,7 +54,7 @@ class ClusteringConfig:
         check_settings(self.k, (self.metric,), self.max_iter, self.shift_tol, self.seed)
         if self.initial_centroids is None:
             return
-        ctr = np.asarray(self.initial_centroids, dtype=np.float64)
+        ctr = np.array(self.initial_centroids, dtype=np.float64)
         if ctr.ndim != 2 or ctr.shape[0] != self.k:
             raise ValueError(
                 f"initial_centroids must be a 2-D array of k = {self.k} rows, "
@@ -62,6 +62,8 @@ class ClusteringConfig:
             )
         if not np.isfinite(ctr).all():
             raise ValueError("initial_centroids have a NaN or infinite entry")
+        ctr.flags.writeable = False
+        object.__setattr__(self, "initial_centroids", ctr)
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,6 @@ class ClusterModel:
         )
 
 
-def check_count(name: str, value) -> None:
-    """Reject a value that is not an integer >= 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def check_settings(k, metrics, max_iter, shift_tol, seed) -> None:
     """Reject a k, metric, max_iter, shift_tol or seed that no fit can run
     with, whatever the data; ClusteringConfig (with its one metric) and
@@ -125,7 +119,7 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
     if config.k > data.shape[0]:
         raise ValueError(f"k ({config.k}) exceeds dataset size ({data.shape[0]})")
     if config.initial_centroids is not None:
-        ctr = np.array(config.initial_centroids, dtype=np.float64)
+        ctr = config.initial_centroids.copy()
         if ctr.shape[1] != data.shape[1]:
             raise ValueError(
                 f"initial_centroids have shape {ctr.shape} but the data has "

@@ -20,6 +20,7 @@ its rounding bound leaves open get the exact core.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ class DistanceSpec:
     """A metric kind plus its user parameter p, where applicable.
 
     Checked when built: a kind or p outside its constraints raises
-    ValueError, so every DistanceSpec in existence is valid.
+    ValueError, so every DistanceSpec in existence is valid. A given p is
+    stored as a float.
     """
 
     kind: str
@@ -66,7 +68,12 @@ class DistanceSpec:
         if self.kind in _PARAMETRIC:
             if self.p is None:
                 raise ValueError(f"metric {self.kind!r} requires parameter p")
-            p = float(self.p)
+            if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+                raise ValueError(f"parameter p must be a real number, got {self.p!r}")
+            try:
+                p = float(self.p)
+            except OverflowError:  # an int beyond float64's range
+                p = math.inf
             if not math.isfinite(p):
                 raise ValueError(f"parameter p must be finite, got {self.p!r}")
             if self.kind == DSD:
@@ -76,6 +83,7 @@ class DistanceSpec:
                     raise ValueError(f"dsd parameter p above 3 (got {p})")
             elif p < 1.0:
                 raise ValueError(f"minkowski parameter p below 1 (got {p})")
+            object.__setattr__(self, "p", p)
         elif self.p is not None:
             raise ValueError(f"metric {self.kind!r} does not take a parameter p")
 

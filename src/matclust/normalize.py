@@ -9,7 +9,6 @@ outside [0, 1].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +29,6 @@ class FeatureStats:
 
     def to_json(self) -> str:
         return json_text({"min": self.min.tolist(), "max": self.max.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureStats":
-        doc = json.loads(text)
-        lo = np.asarray(doc["min"], dtype=np.float64)
-        hi = np.asarray(doc["max"], dtype=np.float64)
-        if lo.shape != hi.shape:
-            raise ValueError("min and max arrays must have equal length")
-        return cls(min=lo, max=hi)
 
 
 def fit(dataset) -> FeatureStats:

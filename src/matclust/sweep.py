@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import csv_text, json_text, save_report
+from .data import check_count, csv_text, json_text, save_report
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
-from .kmeans import DEFAULT_SEED, ClusteringConfig, check_count, check_settings, fit
+from .kmeans import DEFAULT_SEED, ClusteringConfig, check_settings, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec
 
 # p grid and instance sizes used by default

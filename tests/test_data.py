@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import warnings
 
@@ -11,10 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from matclust import data
 from matclust.data import (
-    ClassSpec,
     Dataset,
     csv_text,
-    default_material_specs,
     fmt_float,
     generate_synthetic,
     json_text,
@@ -242,70 +239,50 @@ class TestRoundTrip:
 
 
 class TestGenerateSynthetic:
-    def test_empty_class_contributes_nothing(self):
-        specs = [
-            ClassSpec("a", 5, "uniform", ((0.0, 1.0),)),
-            ClassSpec("b", 0, "uniform", ((0.0, 1.0),)),
-            ClassSpec("c", 5, "uniform", ((5.0, 6.0),)),
-        ]
-        ds = generate_synthetic(specs, seed=1)
-        assert ds.n_points == 10
-        assert "b" not in ds.labels
+    def test_more_classes_than_points_leaves_classes_empty(self):
+        # as `gen --classes 5 --count 3` writes: one point in each of the
+        # first three classes, none in the last two
+        ds = generate_synthetic(5, 2, 3, seed=1)
+        assert ds.n_points == 3
+        assert sorted(ds.labels) == ["class-1", "class-2", "class-3"]
 
     def test_determinism(self):
-        specs = default_material_specs(3, 4, 30)
-        a = generate_synthetic(specs, seed=5)
-        b = generate_synthetic(specs, seed=5)
+        a = generate_synthetic(3, 4, 30, seed=5)
+        b = generate_synthetic(3, 4, 30, seed=5)
         assert np.array_equal(a.points, b.points)
         assert a.labels == b.labels
 
     def test_label_conservation(self):
-        specs = [
-            ClassSpec("x", 7, "normal", ((0.0, 1.0),)),
-            ClassSpec("y", 13, "normal", ((10.0, 1.0),)),
-        ]
-        ds = generate_synthetic(specs, seed=2)
-        assert ds.labels.count("x") == 7
-        assert ds.labels.count("y") == 13
+        # 20 points over 3 classes: the first 20 % 3 = 2 classes get one more
+        ds = generate_synthetic(3, 1, 20, seed=2)
+        assert [ds.labels.count(c) for c in ("polymer", "ceramic", "metal")] == [7, 7, 6]
 
     @pytest.mark.parametrize("seed", [-1, False, 0.5])
     def test_bad_seed_rejected_by_name(self, seed):
         with pytest.raises(ValueError, match=rf"seed must be an integer >= 0, got {seed!r}"):
-            generate_synthetic(default_material_specs(2, 2, 10), seed)
+            generate_synthetic(2, 2, 10, seed)
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError, match="low"):
-            ClassSpec("bad", 1, "uniform", ((2.0, 1.0),))
-        with pytest.raises(ValueError, match="sigma"):
-            ClassSpec("bad", 1, "normal", ((0.0, 0.0),))
-        with pytest.raises(ValueError, match="attribute count"):
-            generate_synthetic(
-                [
-                    ClassSpec("a", 1, "uniform", ((0.0, 1.0),)),
-                    ClassSpec("b", 1, "uniform", ((0.0, 1.0), (0.0, 1.0))),
-                ],
-                seed=0,
-            )
+    @pytest.mark.parametrize("name", ["classes", "dims", "count"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0, "must be >= 1, got 0"), (True, "must be an integer, got True"),
+         (2.0, "must be an integer, got 2.0")],
+    )
+    def test_bad_size_rejected_by_name(self, name, bad, message):
+        sizes = dict(classes=3, dims=2, count=10)
+        sizes[name] = bad
+        with pytest.raises(ValueError, match=rf"^{name} {message}$"):
+            generate_synthetic(**sizes, seed=0)
 
-    def test_low_above_high_rejected_built_or_replaced(self):
-        message = r"class 'bad', attribute 0: low 2.0 > high 1.0"
-        with pytest.raises(ValueError, match=message):
-            ClassSpec("bad", 1, "uniform", ((2.0, 1.0),))
-        valid = ClassSpec("bad", 1, "uniform", ((0.0, 1.0),))
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(valid, params=((2.0, 1.0),))
-
-    def test_default_specs_shape(self):
-        specs = default_material_specs()
-        assert sum(s.count for s in specs) == 5097
-        assert all(len(s.params) == 25 for s in specs)
-        assert [s.name for s in specs] == ["polymer", "ceramic", "metal"]
+    def test_default_shape(self):
+        ds = generate_synthetic(3, 25, 5097, seed=42)
+        assert ds.points.shape == (5097, 25)
+        assert [ds.labels.count(c) for c in ("polymer", "ceramic", "metal")] == [1699] * 3
 
     def test_separated_classes_recovered_by_kmeans(self):
         # generator construction guarantees >= 5 sigma separation; purity is
         # checked by majority-label cross-tabulation
-        specs = default_material_specs(3, 25, 600)
-        ds = generate_synthetic(specs, seed=42)
+        ds = generate_synthetic(3, 25, 600, seed=42)
         _, normalized = fit_transform(ds.points)
         model = fit(normalized, ClusteringConfig(k=3, metric=DistanceSpec("euclidean"), seed=42))
         truth = np.array([{"polymer": 0, "ceramic": 1, "metal": 2}[c] for c in ds.labels])
@@ -317,8 +294,7 @@ class TestGenerateSynthetic:
         assert pure / ds.n_points >= 0.99
 
     def test_attribute_scales_span_magnitudes(self):
-        specs = default_material_specs(3, 25, 90)
-        ds = generate_synthetic(specs, seed=0)
+        ds = generate_synthetic(3, 25, 90, seed=0)
         spans = ds.points.max(axis=0) - ds.points.min(axis=0)
         assert spans.max() / spans.min() > 1e6
 

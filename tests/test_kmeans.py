@@ -264,6 +264,16 @@ class TestInitCentroids:
         ctr[0, 0] = 5.0
         assert given[0, 0] == 0
 
+    def test_config_keeps_a_read_only_copy_of_the_given_rows(self):
+        given = BLOBS_1D[[0, 2]].copy()
+        cfg = ClusteringConfig(k=2, metric=EUCLID, initial_centroids=given)
+        expected = fit(BLOBS_1D, cfg).to_json()
+        given[1, 0] = np.nan
+        assert cfg.initial_centroids.tolist() == [[0.0], [9.0]]
+        assert fit(BLOBS_1D, cfg).to_json() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.initial_centroids[0, 0] = 1.0
+
 
 def exact_argmin(spec, points, centers, row_norms=None):
     """nearest_centers without a ranking: the argmin of every exact distance."""
@@ -682,6 +692,11 @@ class TestSerialization:
         assert doc["p"] == 1.523
         assert doc["seed"] == 5
         assert len(doc["assignments"]) == 4
+
+    def test_numpy_float_p_is_written_as_a_float(self):
+        spec = DistanceSpec("dsd", np.float32(1.523))
+        doc = json.loads(fit(BLOBS_1D, ClusteringConfig(k=2, metric=spec)).to_json())
+        assert doc["p"] == float(np.float32(1.523))
 
     def test_numpy_integer_seed_gives_the_same_json(self):
         docs = {

@@ -100,6 +100,17 @@ class TestValidateSpec:
     def test_minkowski_p2_accepted(self):
         assert DistanceSpec("minkowski", 2).p == 2
 
+    @pytest.mark.parametrize("p", [2, np.float32(1.523), np.int64(3)], ids=repr)
+    def test_p_stored_as_float(self, p):
+        spec = DistanceSpec(DSD, p)
+        assert type(spec.p) is float and spec.p == float(p)
+
+    @pytest.mark.parametrize("kind", [DSD, "minkowski"])
+    @pytest.mark.parametrize("p", [True, "2"], ids=repr)
+    def test_p_that_is_not_a_real_number_rejected_by_value(self, kind, p):
+        with pytest.raises(ValueError, match=rf"p must be a real number, got {p!r}$"):
+            DistanceSpec(kind, p)
+
     def test_minkowski_p_below_one_rejected(self):
         with pytest.raises(ValueError, match="below 1"):
             DistanceSpec("minkowski", 0.99)
@@ -109,6 +120,8 @@ class TestValidateSpec:
             DistanceSpec(DSD, math.nan)
         with pytest.raises(ValueError, match="finite"):
             DistanceSpec("minkowski", math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            DistanceSpec("minkowski", 10**400)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matclust import sweep
-from matclust.data import default_material_specs, generate_synthetic
+from matclust.data import generate_synthetic
 from matclust.evaluate import EvaluationReport, OutlierPolicy
 from matclust.metrics import DSD, DistanceSpec
 from matclust.normalize import fit_transform
@@ -28,7 +28,7 @@ def dsd_grid(*ps):
 
 @pytest.fixture(scope="module")
 def small_data():
-    ds = generate_synthetic(default_material_specs(3, 6, 240), seed=42)
+    ds = generate_synthetic(3, 6, 240, seed=42)
     _, normalized = fit_transform(ds.points)
     return normalized
 
