@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--max-iter", type=int, default=100)
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument(
             "--outlier-policy", choices=["none", "sigma", "quantile"], default="sigma"
         )
@@ -144,9 +143,7 @@ def _cmd_fit(args) -> int:
         p = DSD_OPERATING_P if args.metric == DSD else 2.0
     spec = DistanceSpec(args.metric, p)
     policy = _policy_from_args(args)
-    config = ClusteringConfig(
-        k=args.k, metric=spec, seed=args.seed, max_iter=args.max_iter, shift_tol=args.tol
-    )
+    config = ClusteringConfig(k=args.k, metric=spec, seed=args.seed, max_iter=args.max_iter)
     points, stats = _load_normalized(args)
     model = fit(points, config)
     report = evaluate(points, model, policy)
@@ -174,7 +171,6 @@ def _run_sweep_like(args, metrics: tuple[DistanceSpec, ...]) -> int:
         seed=args.seed,
         policy=_policy_from_args(args),
         max_iter=args.max_iter,
-        shift_tol=args.tol,
         jobs=args.jobs,
     )
     points, stats = _load_normalized(args)

@@ -20,7 +20,6 @@ always produces a bitwise-identical model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +28,6 @@ from .data import check_count, check_seed, json_text
 from .metrics import DistanceSpec, nearest_centers, pairwise_distances, squared_norms
 
 DEFAULT_SEED = 42
-
-# converged-reason tags
-STABLE_ASSIGNMENTS = "stable-assignments"
-CENTROID_SHIFT = "centroid-shift"
-MAX_ITER = "max-iter"
 
 
 @dataclass(frozen=True)
@@ -47,11 +41,10 @@ class ClusteringConfig:
     metric: DistanceSpec = DistanceSpec("euclidean")
     seed: int = DEFAULT_SEED
     max_iter: int = 100
-    shift_tol: float = 1e-9
     initial_centroids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        check_settings(self.k, (self.metric,), self.max_iter, self.shift_tol, self.seed)
+        check_settings(self.k, (self.metric,), self.max_iter, self.seed)
         if self.initial_centroids is None:
             return
         ctr = np.array(self.initial_centroids, dtype=np.float64)
@@ -71,15 +64,11 @@ class ClusterModel:
     centroids: np.ndarray
     assignments: np.ndarray
     iterations_run: int
-    converged_reason: str
+    converged: bool
     final_sse: float
     metric: DistanceSpec
     seed: int
     sse_per_iter: tuple[float, ...] = field(default=(), repr=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.converged_reason != MAX_ITER
 
     def to_json(self) -> str:
         return json_text(
@@ -96,8 +85,8 @@ class ClusterModel:
         )
 
 
-def check_settings(k, metrics, max_iter, shift_tol, seed) -> None:
-    """Reject a k, metric, max_iter, shift_tol or seed that no fit can run
+def check_settings(k, metrics, max_iter, seed) -> None:
+    """Reject a k, metric, max_iter or seed that no fit can run
     with, whatever the data; ClusteringConfig (with its one metric) and
     SweepPlan (with its grid) call it when built."""
     check_count("k", k)
@@ -105,8 +94,6 @@ def check_settings(k, metrics, max_iter, shift_tol, seed) -> None:
         if not isinstance(metric, DistanceSpec):
             raise ValueError(f"a metric must be a DistanceSpec, got {metric!r}")
     check_count("max_iter", max_iter)
-    if not (math.isfinite(shift_tol) and shift_tol >= 0):
-        raise ValueError(f"shift_tol must be finite and >= 0, got {shift_tol}")
     check_seed(seed)
 
 
@@ -162,6 +149,22 @@ def assign(dataset, centroids, metric: DistanceSpec, row_norms=None) -> np.ndarr
     return nearest_centers(metric, dataset, centroids, row_norms)
 
 
+def _check_assignments(assignments, n: int, k: int) -> np.ndarray:
+    """assignments as an array, once checked to hold one integer (not bool)
+    label per point, each in [0, k)."""
+    labels = np.asarray(assignments)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"assignments must be integers, got dtype {labels.dtype}")
+    if labels.shape != (n,):
+        raise ValueError(
+            f"one assignment per point is required: {n} points, "
+            f"assignments of shape {labels.shape}"
+        )
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"assignments must lie in [0, {k})")
+    return labels
+
+
 def update_centroids(
     dataset, assignments, k: int, prev_centroids, metric: DistanceSpec
 ) -> np.ndarray:
@@ -174,17 +177,13 @@ def update_centroids(
     distances overflow.
     """
     data = np.asarray(dataset, dtype=np.float64)
-    labels = np.asarray(assignments)
-    if labels.shape[0] != data.shape[0]:
-        raise ValueError("one assignment per point is required")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"assignments must lie in [0, {k})")
+    labels = _check_assignments(assignments, data.shape[0], k)
     columns = np.asfortranarray(data).T
 
     # each bin adds its points in index order from 0.0, as np.add.at does,
     # so the sums are bitwise the same; an overflow gives inf without a
     # warning, which the Lloyd loop's SSE check rejects
-    cluster = labels.astype(np.intp, casting="same_kind")
+    cluster = labels.astype(np.intp)
     sums = np.empty((k, data.shape[1]))
     for t, column in enumerate(columns):
         sums[:, t] = np.bincount(cluster, weights=column, minlength=k)
@@ -213,9 +212,12 @@ def sse(dataset, centroids, assignments) -> float:
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
-    labels = np.asarray(assignments)
-    if labels.size and (labels.min() < 0 or labels.max() >= ctr.shape[0]):
-        raise ValueError(f"assignments must lie in [0, {ctr.shape[0]})")
+    if data.ndim != 2 or ctr.ndim != 2 or ctr.shape[1] != data.shape[1]:
+        raise ValueError(
+            f"centroids of shape {ctr.shape} do not fit data of shape {data.shape}: "
+            "both must be 2-D and as wide"
+        )
+    labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
     # row-major residuals, so the sum adds them in one order for data in
     # any layout
     resid = ctr[labels]
@@ -225,8 +227,14 @@ def sse(dataset, centroids, assignments) -> float:
 
 
 def fit(dataset, config: ClusteringConfig) -> ClusterModel:
-    """Run Lloyd iterations until assignments stabilize, the maximum
-    componentwise centroid shift drops to shift_tol, or max_iter is hit."""
+    """Run Lloyd iterations until an assignment repeats the previous one, or
+    for max_iter assignments.
+
+    A converged model is a fixed point: its centroids are the means of its
+    assignments, and assign(dataset, model.centroids) returns them again.
+    sse_per_iter has one entry per centroid update, so a converged fit has
+    iterations_run - 1 of them and a capped one iterations_run.
+    """
     data = np.asfortranarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty 2-D array")
@@ -238,31 +246,24 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     row_norms = squared_norms(config.metric, data)
     centroids = init_centroids(data, config)
     labels = None
-    reason = MAX_ITER
-    iterations = 0
+    converged = False
     history: list[float] = []
 
-    for _ in range(config.max_iter):
-        iterations += 1
+    for iterations in range(1, config.max_iter + 1):
         new_labels = assign(data, centroids, config.metric, row_norms=row_norms)
-        new_centroids = update_centroids(
-            data, new_labels, config.k, prev_centroids=centroids, metric=config.metric
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+        centroids = update_centroids(
+            data, labels, config.k, prev_centroids=centroids, metric=config.metric
         )
         with np.errstate(over="ignore"):
-            history.append(sse(data, new_centroids, new_labels))
+            history.append(sse(data, centroids, labels))
         if not np.isfinite(history[-1]):
             raise ValueError("the SSE overflows float64; normalize the data")
-        shift = float(np.max(np.abs(new_centroids - centroids)))
-        stable = labels is not None and np.array_equal(new_labels, labels)
-        labels, centroids = new_labels, new_centroids
-        if stable:
-            reason = STABLE_ASSIGNMENTS
-            break
-        if shift <= config.shift_tol:
-            reason = CENTROID_SHIFT
-            break
 
-    if reason != MAX_ITER:
+    if converged:
         # A run capped by max_iter may stop right after a reseed; a converged
         # one must not leave a cluster empty.
         empty = np.flatnonzero(np.bincount(labels, minlength=config.k) == 0)
@@ -277,7 +278,7 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
         centroids=centroids,
         assignments=labels,
         iterations_run=iterations,
-        converged_reason=reason,
+        converged=converged,
         final_sse=history[-1],
         metric=config.metric,
         seed=config.seed,

@@ -38,7 +38,16 @@ def fit(dataset) -> FeatureStats:
         raise ValueError(f"expected a 2-D dataset, got shape {data.shape}")
     if data.shape[0] == 0:
         raise ValueError("cannot fit normalization stats on an empty dataset")
-    return FeatureStats(min=data.min(axis=0), max=data.max(axis=0))
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~np.isfinite(hi - lo)
+    if wide.any():
+        a = int(np.argmax(wide))
+        raise ValueError(
+            f"attribute {a} cannot be normalized: its range, from {float(lo[a])!r} "
+            f"to {float(hi[a])!r}, is not a finite float64"
+        )
+    return FeatureStats(min=lo, max=hi)
 
 
 def transform(stats: FeatureStats, v) -> np.ndarray:

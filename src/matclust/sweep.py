@@ -59,7 +59,6 @@ class SweepPlan:
     seed: int = DEFAULT_SEED
     policy: OutlierPolicy = OutlierPolicy()
     max_iter: int = 100
-    shift_tol: float = 1e-9
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -74,7 +73,7 @@ class SweepPlan:
             raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
         if any(later < size for size, later in zip(sizes, sizes[1:])):
             raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
-        check_settings(self.k, self.metrics, self.max_iter, self.shift_tol, self.seed)
+        check_settings(self.k, self.metrics, self.max_iter, self.seed)
         if self.k > min(sizes):
             raise ValueError(
                 f"k ({self.k}) exceeds the smallest instance size ({min(sizes)})"
@@ -123,7 +122,6 @@ class SweepResult:
                     "policy": self.plan.policy.kind,
                     "init": "kmeans-plus-plus",
                     "max_iter": self.plan.max_iter,
-                    "shift_tol": self.plan.shift_tol,
                 },
                 "rows": [
                     {
@@ -152,13 +150,7 @@ def shuffle_dataset(points, seed: int) -> np.ndarray:
 
 def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) -> SweepRow:
     subset = data[:size]
-    config = ClusteringConfig(
-        k=plan.k,
-        metric=spec,
-        seed=plan.seed,
-        max_iter=plan.max_iter,
-        shift_tol=plan.shift_tol,
-    )
+    config = ClusteringConfig(k=plan.k, metric=spec, seed=plan.seed, max_iter=plan.max_iter)
     start = time.perf_counter()
     model = fit(subset, config)
     report = evaluate(subset, model, plan.policy)

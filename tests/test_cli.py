@@ -179,8 +179,9 @@ class TestCompare:
         out = tmp_path / "run"
         main(["compare", "-i", str(dataset_csv), "-o", str(out), "--instances", "100"])
         manifest = json.loads((out / "manifest.json").read_text())
-        for key in ("seed", "k", "max_iter", "tol", "outlier_policy", "jobs"):
+        for key in ("seed", "k", "max_iter", "outlier_policy", "jobs"):
             assert key in manifest and manifest[key] is not None
+        assert "tol" not in manifest
 
 
 class TestSweepJson:
@@ -237,11 +238,11 @@ class TestOutputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fit", "--tol", "nan"],
-            ["fit", "--tol", "inf", "--outlier-c", "inf"],
+            ["fit", "--outlier-policy", "quantile", "--outlier-q", "inf"],
+            ["fit", "--outlier-c", "inf", "--outlier-q", "nan"],
             ["fit", "--outlier-c", "inf"],
             ["fit", "--outlier-policy", "none", "--outlier-q", "nan"],
-            ["sweep", "--tol", "nan", "--p-values", "1.5", "--instances", "100"],
+            ["sweep", "--outlier-c", "nan", "--p-values", "1.5", "--instances", "100"],
             ["compare", "--outlier-policy", "quantile", "--outlier-c", "nan",
              "--instances", "100"],
         ],
@@ -252,6 +253,20 @@ class TestOutputs:
         rc = main([argv[0], "-i", str(dataset_csv), "-o", str(out), *argv[1:]])
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "compare"])
+    def test_range_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        src = tmp_path / "x.csv"
+        src.write_text("a,b\n-1e308,1\n1e308,2\n0,3\n")
+        out = tmp_path / "run"
+        sizes = [] if command == "fit" else ["--instances", "3"]
+        rc = main([command, "-i", str(src), "-o", str(out), "--k", "2", *sizes])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: attribute 0 cannot be normalized: its range, from -1e+308 to 1e+308, "
+            "is not a finite float64\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -291,9 +306,9 @@ class TestOutputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--tol", "nan", "--p-values", "1.5", "2", "--jobs", "2"],
+            ["sweep", "--k", "0", "--p-values", "1.5", "2", "--jobs", "2"],
             ["sweep", "--max-iter", "0", "--p-values", "1.5"],
-            ["compare", "--tol", "nan", "--jobs", "2"],
+            ["compare", "--max-iter", "0", "--jobs", "2"],
         ],
         ids=" ".join,
     )
@@ -316,10 +331,10 @@ class TestOutputs:
             (["fit", "--k", "0"], "k must be >= 1, got 0"),
             (["fit", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
             (["sweep", "--jobs", "0"], "jobs must be >= 1, got 0"),
-            (["compare", "--tol", "nan", "--jobs", "1"],
-             "shift_tol must be finite and >= 0, got nan"),
+            (["compare", "--outlier-c", "nan", "--jobs", "1"],
+             "outlier c and q must be finite, got c=nan, q=0.99"),
         ],
-        ids=["fit --k 0", "fit --max-iter 0", "sweep --jobs 0", "compare --tol nan --jobs 1"],
+        ids=["fit --k 0", "fit --max-iter 0", "sweep --jobs 0", "compare --outlier-c nan --jobs 1"],
     )
     def test_bad_setting_exits_2_before_loading_the_input(
         self, dataset_csv, tmp_path, capsys, monkeypatch, argv, message
@@ -331,4 +346,13 @@ class TestOutputs:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "compare"])
+    def test_removed_tol_option_exits_2_as_unknown(self, dataset_csv, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as stop:
+            main([command, "-i", str(dataset_csv), "-o", str(out), "--tol", "1e-9"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
         assert not out.exists()

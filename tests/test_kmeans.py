@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from matclust import kmeans, metrics
 from matclust.kmeans import (
-    CENTROID_SHIFT,
     DEFAULT_SEED,
-    MAX_ITER,
-    STABLE_ASSIGNMENTS,
     ClusteringConfig,
     assign,
     fit,
@@ -68,19 +65,23 @@ def reference_kmeans_pp(data: np.ndarray, config: ClusteringConfig) -> np.ndarra
 
 
 def reference_fit(data: np.ndarray, config: ClusteringConfig):
-    """Plain Lloyd: full distance matrices, np.add.at sums, fit's stopping rules.
+    """Plain Lloyd: full distance matrices, np.add.at sums, fit's stopping rule.
 
-    Returns (centroids, assignments, sse history, reason)."""
+    Returns (centroids, assignments, sse history, converged)."""
     if config.initial_centroids is None:
         centroids = reference_kmeans_pp(data, config)
     else:
         centroids = np.array(config.initial_centroids, dtype=np.float64)
-    labels, reason, history = None, MAX_ITER, []
+    labels, converged, history = None, False, []
     for _ in range(config.max_iter):
         new_labels = np.argmin(pairwise_distances(config.metric, data, centroids), axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
         sums = np.zeros((config.k, data.shape[1]))
-        np.add.at(sums, new_labels, data)
-        counts = np.bincount(new_labels, minlength=config.k)
+        np.add.at(sums, labels, data)
+        counts = np.bincount(labels, minlength=config.k)
         new_centroids = np.empty_like(sums)
         for j in range(config.k):
             if counts[j]:
@@ -88,19 +89,11 @@ def reference_fit(data: np.ndarray, config: ClusteringConfig):
             else:
                 far = pairwise_distances(config.metric, data, centroids[j : j + 1])[:, 0]
                 new_centroids[j] = data[np.argmax(far)]
-        history.append(float(np.sum((data - new_centroids[new_labels]) ** 2)))
-        shift = float(np.max(np.abs(new_centroids - centroids)))
-        stable = labels is not None and np.array_equal(new_labels, labels)
-        labels, centroids = new_labels, new_centroids
-        if stable:
-            reason = STABLE_ASSIGNMENTS
-            break
-        if shift <= config.shift_tol:
-            reason = CENTROID_SHIFT
-            break
-    if reason != MAX_ITER and (np.bincount(labels, minlength=config.k) == 0).any():
+        centroids = new_centroids
+        history.append(float(np.sum((data - centroids[labels]) ** 2)))
+    if converged and (np.bincount(labels, minlength=config.k) == 0).any():
         raise ValueError("are empty at convergence")
-    return centroids, labels, history, reason
+    return centroids, labels, history, converged
 
 
 @st.composite
@@ -328,11 +321,13 @@ class TestFitReference:
                 fit(data, cfg)
             return
         model = fit(data, cfg)
-        centroids, labels, history, reason = expected
+        centroids, labels, history, converged = expected
         assert model.centroids.tobytes() == centroids.tobytes()
         assert model.assignments.tobytes() == labels.tobytes()
         assert model.sse_per_iter == tuple(history)
-        assert model.converged_reason == reason
+        assert model.converged == converged
+        if model.converged:
+            assert np.array_equal(assign(data, model.centroids, spec), model.assignments)
 
 
 class TestUpdateCentroids:
@@ -404,6 +399,32 @@ class TestSse:
     def test_out_of_range_assignment_rejected(self, labels):
         with pytest.raises(ValueError, match=r"assignments must lie in \[0, 2\)"):
             sse(np.zeros((2, 1)), np.zeros((2, 1)), labels)
+
+    @pytest.mark.parametrize("centroids", [[[0.0, 1.0], [1.0, 2.0]], [0.0, 1.0]])
+    def test_centroids_not_as_wide_as_data_rejected(self, centroids):
+        # 1-column data used to broadcast against 2-column centroids
+        with pytest.raises(ValueError, match="do not fit data of shape"):
+            sse(np.array([[0.0], [1.0], [9.0]]), centroids, [0, 1, 1])
+
+
+class TestAssignmentChecks:
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1], "one assignment per point is required: 3 points"),
+            ([0, 1, 1, 0], "one assignment per point is required: 3 points"),
+            ([[0], [1], [1]], "one assignment per point is required: 3 points"),
+            ([0.0, 1.0, 1.0], "assignments must be integers, got dtype float64"),
+            ([False, True, True], "assignments must be integers, got dtype bool"),
+        ],
+        ids=["short", "long", "2-D", "float", "bool"],
+    )
+    def test_malformed_assignments_rejected_by_update_and_sse(self, labels, message):
+        data = np.array([[0.0], [1.0], [9.0]])
+        with pytest.raises(ValueError, match=message):
+            update_centroids(data, labels, 2, [[0.0], [1.0]], EUCLID)
+        with pytest.raises(ValueError, match=message):
+            sse(data, [[0.0], [1.0]], labels)
 
 
 def layouts(data: np.ndarray) -> list[np.ndarray]:
@@ -541,7 +562,7 @@ class TestFit:
 
     def test_config_has_one_seeding_field(self):
         names = [f.name for f in dataclasses.fields(ClusteringConfig)]
-        assert names == ["k", "metric", "seed", "max_iter", "shift_tol", "initial_centroids"]
+        assert names == ["k", "metric", "seed", "max_iter", "initial_centroids"]
 
     def test_zero_k_rejected_built_or_replaced(self):
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
@@ -551,11 +572,6 @@ class TestFit:
 
     def test_numpy_integer_k_accepted(self):
         assert fit(BLOBS_1D, ClusteringConfig(k=np.int64(2), metric=EUCLID)).converged
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-    def test_non_finite_or_negative_shift_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="shift_tol must be finite and >= 0"):
-            fit(BLOBS_1D, ClusteringConfig(k=2, metric=EUCLID, shift_tol=tol))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
@@ -597,7 +613,7 @@ class TestFit:
             k=2, metric=EUCLID, initial_centroids=np.array([[0.0], [100.0]]), max_iter=1,
         )
         model = fit(np.array([[0.0], [1.0], [10.0]]), cfg)
-        assert model.converged_reason == MAX_ITER
+        assert not model.converged
         assert model.assignments.tolist() == [0, 0, 0]
 
 
@@ -642,10 +658,9 @@ class TestProperties:
         rng = np.random.default_rng(53)
         data = rng.random((120, 4))
         model = fit(data, ClusteringConfig(k=3, metric=EUCLID, seed=11))
-        assert model.converged_reason in (STABLE_ASSIGNMENTS, CENTROID_SHIFT)
-        if model.converged_reason == STABLE_ASSIGNMENTS:
-            again = assign(data, model.centroids, EUCLID)
-            assert np.array_equal(again, model.assignments)
+        assert model.converged
+        again = assign(data, model.centroids, EUCLID)
+        assert np.array_equal(again, model.assignments)
 
     def test_determinism(self):
         rng = np.random.default_rng(59)

@@ -31,6 +31,23 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([[1.0, 2.0], [3.0]])
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([[-1e308, 1.0], [1e308, 2.0], [0.0, 3.0]],
+             r"attribute 0 cannot be normalized: its range, from -1e\+308 to 1e\+308,"),
+            ([[1.0, 1.7e308], [2.0, -1.7e308]],
+             r"attribute 1 cannot be normalized: its range, from -1.7e\+308 to 1.7e\+308,"),
+            ([[1.0, np.inf], [2.0, 0.0]], r"attribute 1 .* from 0.0 to inf,"),
+        ],
+        ids=["overflow", "overflow in attribute 1", "infinite"],
+    )
+    def test_range_that_is_not_finite_rejected_without_warning(self, data, message):
+        # filterwarnings = error turns any numpy warning into a failure
+        for call in (fit, fit_transform):
+            with pytest.raises(ValueError, match=message + " is not a finite float64"):
+                call(np.array(data))
+
 
 class TestTransform:
     STATS = FeatureStats(min=np.array([0.0, 2.0]), max=np.array([10.0, 2.0]))

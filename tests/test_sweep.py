@@ -74,7 +74,6 @@ class TestPlanValidation:
             (dict(k=True), "k must be an integer"),
             (dict(k=0), "k must be >= 1"),
             (dict(max_iter=0), "max_iter must be >= 1"),
-            (dict(shift_tol=float("nan")), "shift_tol must be finite"),
             (dict(seed=-1), "seed must be an integer >= 0, got -1"),
             (dict(seed=True), "seed must be an integer >= 0, got True"),
             (dict(seed=2.0), "seed must be an integer >= 0, got 2.0"),
@@ -127,7 +126,7 @@ class TestPlanValidation:
     def test_plan_holds_one_grid_and_no_init(self):
         names = [f.name for f in dataclasses.fields(SweepPlan)]
         assert names == [
-            "metrics", "instance_sizes", "k", "seed", "policy", "max_iter", "shift_tol", "jobs",
+            "metrics", "instance_sizes", "k", "seed", "policy", "max_iter", "jobs",
         ]
         assert SweepPlan().metrics == DEFAULT_COMPARISON_METRICS
 
@@ -247,7 +246,9 @@ class TestResultSerialization:
         assert doc["plan"]["instance_sizes"] == [60, 120, 240]
         assert doc["plan"]["metrics"] == [["dsd", 1.0], ["dsd", 1.5], ["dsd", 1.523]]
         assert doc["plan"]["init"] == "kmeans-plus-plus"
-        assert "p_values" not in doc["plan"]
+        assert sorted(doc["plan"]) == [
+            "init", "instance_sizes", "k", "max_iter", "metrics", "policy", "seed",
+        ]
         assert all(row["wall_ms"] >= 0 for row in doc["rows"])
         assert all("iterations" in row for row in doc["rows"])
 
