@@ -7,8 +7,9 @@ writes for a labelled dataset). Any cell may be quoted with ``"``
 number, optionally signed, in plain or scientific notation (``-1.5``,
 ``2e-3``), with surrounding whitespace allowed. Digit-group separators
 (``1,000``, ``1_000``), non-ASCII digits and non-finite cells (``nan``,
-``inf``, or a value that overflows) are rejected, naming the file row.
-Blank lines are skipped but count toward that row number.
+``inf``, or a value that overflows) are rejected, naming the file row, as
+is a row (the header included) that is not valid UTF-8. Blank lines are
+skipped but count toward that row number.
 
 Outputs: every CSV float is rendered by ``fmt_float`` (17 significant
 digits, so every save/load round-trip is exact) and every table by
@@ -74,6 +75,8 @@ def load_csv(path) -> Dataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{p}: file is empty") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{p}: {_first_bad_row(p)}") from exc
         has_labels = bool(header) and header[-1] == _LABEL_COLUMN
         attr_names = tuple(header[:-1] if has_labels else header)
         if not attr_names:
@@ -90,15 +93,15 @@ def load_csv(path) -> Dataset:
                     fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                     ndmin=1 if has_labels else 2,
                 )
-        except ValueError as exc:
-            raise ValueError(f"{p}: {_first_bad_row(p, len(header), has_labels)}") from exc
+        except ValueError as exc:  # a UnicodeDecodeError is one
+            raise ValueError(f"{p}: {_first_bad_row(p)}") from exc
 
     points = table["points"] if has_labels else table
     if points.shape[0] == 0:
         raise ValueError(f"{p}: no data rows")
     # A plain float table takes its width from the first row, not the header.
     if points.shape[1] != len(attr_names) or not np.isfinite(points).all():
-        raise ValueError(f"{p}: {_first_bad_row(p, len(header), has_labels)}")
+        raise ValueError(f"{p}: {_first_bad_row(p)}")
     return Dataset(
         points=np.ascontiguousarray(points),
         labels=tuple(table["label"].tolist()) if has_labels else None,
@@ -114,18 +117,26 @@ def _parse_cell(cell: str) -> float:
     return float(text)
 
 
-def _first_bad_row(p: Path, width: int, has_labels: bool) -> str:
-    """Describe the first bad data row of a CSV, parsing it cell by cell.
+def _first_bad_row(p: Path) -> str:
+    """Describe the first bad row of a CSV, parsing it cell by cell.
 
     Rows are numbered as file rows (the header is row 1, blank lines count).
-    A row with the wrong cell count or a non-numeric cell is reported before
-    any row with a non-finite value, wherever that row is.
+    A row that is not valid UTF-8, has the wrong cell count or has a
+    non-numeric cell is reported before any row with a non-finite value,
+    wherever that row is.
     """
     non_finite = None
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, cells in enumerate(reader, start=2):
+    # a byte that is not UTF-8 is read as a lone surrogate, which encode rejects
+    with p.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
+            try:
+                "".join(cells).encode("utf-8")
+            except UnicodeEncodeError:
+                return f"row {lineno} is not valid UTF-8"
+            if lineno == 1:
+                width = len(cells)
+                has_labels = bool(cells) and cells[-1] == _LABEL_COLUMN
+                continue
             if not cells:
                 continue
             if len(cells) != width:

@@ -12,7 +12,9 @@ before any point can be counted as an outlier. The rule is configurable:
   distance.
 
 Cluster accuracy % and outlier % are exact complements: accuracy is
-100 * clustered / total and the outlier share is the remainder.
+100 * clustered / total and the outlier share is the remainder. An
+EvaluationReport stores only the per-cluster counts and the total, and
+derives clustered and both percentages from them, so they cannot disagree.
 """
 
 from __future__ import annotations
@@ -52,15 +54,31 @@ class OutlierPolicy:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """The clustered points of each cluster out of total; clustered and the
+    two percentages are derived from those counts, and a report whose
+    counts sum past its total cannot be built."""
+
     per_cluster_counts: tuple[int, ...]
     total: int
-    clustered: int
-    cluster_accuracy_pct: float
-    outlier_pct: float
     policy: OutlierPolicy
     metric: str
     p: float | None
     seed: int
+
+    def __post_init__(self) -> None:
+        cluster_accuracy_pct(self.clustered, self.total)
+
+    @property
+    def clustered(self) -> int:
+        return sum(self.per_cluster_counts)
+
+    @property
+    def cluster_accuracy_pct(self) -> float:
+        return cluster_accuracy_pct(self.clustered, self.total)
+
+    @property
+    def outlier_pct(self) -> float:
+        return 100.0 - self.cluster_accuracy_pct
 
     def to_json(self) -> str:
         return json_text(
@@ -136,21 +154,15 @@ def cluster_accuracy_pct(clustered: int, total: int) -> float:
 
 
 def evaluate(dataset, model: ClusterModel, policy: OutlierPolicy) -> EvaluationReport:
-    """Count clustered points per cluster (excluding flagged outliers) and
-    compute the accuracy / outlier percentage pair."""
+    """Count clustered points per cluster, excluding flagged outliers; the
+    report derives the accuracy / outlier percentage pair from them."""
     flags = flag_outliers(dataset, model, policy)
     labels = np.asarray(model.assignments)
     k = model.centroids.shape[0]
     counts = np.bincount(labels[~flags], minlength=k)
-    total = labels.shape[0]
-    clustered = int(counts.sum())
-    acc = cluster_accuracy_pct(clustered, total)
     return EvaluationReport(
         per_cluster_counts=tuple(int(c) for c in counts),
-        total=total,
-        clustered=clustered,
-        cluster_accuracy_pct=acc,
-        outlier_pct=100.0 - acc,
+        total=labels.shape[0],
         policy=policy,
         metric=model.metric.kind,
         p=model.metric.p,

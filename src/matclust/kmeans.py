@@ -14,6 +14,10 @@ are contiguous for the metrics module's exact core and for the centroid
 sums, and computes the row norms of assign's certificate once. Every step
 gives bitwise the same result for data in any layout.
 
+Each number is stored once: a ClusterModel derives final_sse and
+iterations_run from its sse_per_iter and converged flag, and
+update_centroids takes k from the centroids it updates.
+
 Everything is seeded and single-threaded, so a given (dataset, config)
 always produces a bitwise-identical model.
 """
@@ -61,14 +65,26 @@ class ClusteringConfig:
 
 @dataclass(frozen=True)
 class ClusterModel:
+    """A fitted model. sse_per_iter holds the SSE after each centroid
+    update; final_sse and iterations_run are derived from it."""
+
     centroids: np.ndarray
     assignments: np.ndarray
-    iterations_run: int
     converged: bool
-    final_sse: float
     metric: DistanceSpec
     seed: int
-    sse_per_iter: tuple[float, ...] = field(default=(), repr=False)
+    sse_per_iter: tuple[float, ...] = field(repr=False)
+
+    @property
+    def final_sse(self) -> float:
+        """The SSE after the last centroid update."""
+        return self.sse_per_iter[-1]
+
+    @property
+    def iterations_run(self) -> int:
+        """The assignments made: one per centroid update, and for a
+        converged fit the one that repeated the previous assignment."""
+        return len(self.sse_per_iter) + self.converged
 
     def to_json(self) -> str:
         return json_text(
@@ -135,7 +151,11 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
                 "overflow float64; normalize the data"
             )
         if total > 0:
-            chosen[i] = rng.choice(n, p=weights / total)
+            # the draw of rng.choice(n, p=weights / total), without its
+            # checks on the weights: the same index and generator state
+            cdf = np.cumsum(weights / total)
+            cdf /= cdf[-1]
+            chosen[i] = cdf.searchsorted(rng.random(), side="right")
         else:
             chosen[i] = rng.integers(0, n)
     return data[chosen].copy()
@@ -165,10 +185,18 @@ def _check_assignments(assignments, n: int, k: int) -> np.ndarray:
     return labels
 
 
-def update_centroids(
-    dataset, assignments, k: int, prev_centroids, metric: DistanceSpec
-) -> np.ndarray:
-    """Recompute each centroid as the mean of its assigned points.
+def _check_centroids(data: np.ndarray, centroids: np.ndarray) -> None:
+    """Reject centroids that are not a 2-D array as wide as the 2-D data."""
+    if data.ndim != 2 or centroids.ndim != 2 or centroids.shape[1] != data.shape[1]:
+        raise ValueError(
+            f"centroids of shape {centroids.shape} do not fit data of shape {data.shape}: "
+            "both must be 2-D and as wide"
+        )
+
+
+def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec) -> np.ndarray:
+    """Recompute each of the k = len(prev_centroids) centroids as the mean of
+    its assigned points.
 
     Points are accumulated in ascending point-index order so the result is
     independent of any caller-side partitioning. An empty cluster is
@@ -177,6 +205,9 @@ def update_centroids(
     distances overflow.
     """
     data = np.asarray(dataset, dtype=np.float64)
+    prev = np.asarray(prev_centroids, dtype=np.float64)
+    _check_centroids(data, prev)
+    k = prev.shape[0]
     labels = _check_assignments(assignments, data.shape[0], k)
     columns = np.asfortranarray(data).T
 
@@ -195,7 +226,7 @@ def update_centroids(
             centroids[j] = sums[j] / counts[j]
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                d = pairwise_distances(metric, data, np.asarray(prev_centroids)[j : j + 1])
+                d = pairwise_distances(metric, data, prev[j : j + 1])
             if not np.isfinite(d).all():
                 raise ValueError(
                     f"empty cluster {j} cannot be re-seeded: the distances to "
@@ -212,11 +243,7 @@ def sse(dataset, centroids, assignments) -> float:
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
-    if data.ndim != 2 or ctr.ndim != 2 or ctr.shape[1] != data.shape[1]:
-        raise ValueError(
-            f"centroids of shape {ctr.shape} do not fit data of shape {data.shape}: "
-            "both must be 2-D and as wide"
-        )
+    _check_centroids(data, ctr)
     labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
     # row-major residuals, so the sum adds them in one order for data in
     # any layout
@@ -249,15 +276,13 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     converged = False
     history: list[float] = []
 
-    for iterations in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         new_labels = assign(data, centroids, config.metric, row_norms=row_norms)
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
-        centroids = update_centroids(
-            data, labels, config.k, prev_centroids=centroids, metric=config.metric
-        )
+        centroids = update_centroids(data, labels, prev_centroids=centroids, metric=config.metric)
         with np.errstate(over="ignore"):
             history.append(sse(data, centroids, labels))
         if not np.isfinite(history[-1]):
@@ -277,9 +302,7 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     return ClusterModel(
         centroids=centroids,
         assignments=labels,
-        iterations_run=iterations,
         converged=converged,
-        final_sse=history[-1],
         metric=config.metric,
         seed=config.seed,
         sse_per_iter=tuple(history),

@@ -13,8 +13,9 @@ Cells are independent and may run in parallel; rows are ordered by plan
 position, never by completion time, so output files are byte-identical for
 any worker count. Each row holds its cell's EvaluationReport, and
 sweep.csv renders it with the same function as report.csv. A SweepPlan
-checks its settings when built, as its specs, policy and configs do; only
-the largest instance size waits for the data.
+checks its settings when built, as its specs, policy and configs do, and
+rejects a repeated spec or instance size, so each cell runs once; only the
+largest instance size waits for the data.
 """
 
 from __future__ import annotations
@@ -73,7 +74,13 @@ class SweepPlan:
             raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
         if any(later < size for size, later in zip(sizes, sizes[1:])):
             raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
+        size = _first_repeat(sizes)
+        if size is not None:
+            raise ValueError(f"instance size {size} is repeated in {sizes}")
         check_settings(self.k, self.metrics, self.max_iter, self.seed)
+        spec = _first_repeat(self.metrics)
+        if spec is not None:
+            raise ValueError(f"metric {spec!r} is repeated in the grid")
         if self.k > min(sizes):
             raise ValueError(
                 f"k ({self.k}) exceeds the smallest instance size ({min(sizes)})"
@@ -84,6 +91,16 @@ class SweepPlan:
     def mode(self) -> str:
         """The experiment: a p-sweep when every spec is dsd, else a metric comparison."""
         return "p-sweep" if all(m.kind == DSD for m in self.metrics) else "metric-comparison"
+
+
+def _first_repeat(values):
+    """The first value that occurs earlier in values, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
 
 
 @dataclass(frozen=True)

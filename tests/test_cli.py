@@ -82,6 +82,16 @@ class TestFit:
         assert "row 3 has a non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, row", [(b"a,b\n0,1\n1,\xe92\n2,3\n", 3), (b"\xe9,b\n0,1\n", 1)])
+    def test_byte_that_is_not_utf8_exits_2_naming_the_row(self, tmp_path, capsys, body, row):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(body)
+        out = tmp_path / "run"
+        rc = main(["fit", "-i", str(src), "-o", str(out), "--k", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {src}: row {row} is not valid UTF-8\n"
+        assert not out.exists()
+
     def test_failed_fit_leaves_no_output_dir(self, tmp_path, capsys):
         src = tmp_path / "same.csv"
         src.write_text("a,b\n" + "0.5,0.5\n" * 10)
@@ -333,8 +343,12 @@ class TestOutputs:
             (["sweep", "--jobs", "0"], "jobs must be >= 1, got 0"),
             (["compare", "--outlier-c", "nan", "--jobs", "1"],
              "outlier c and q must be finite, got c=nan, q=0.99"),
+            (["sweep", "--p-values", "1.5", "1.5"],
+             "metric DistanceSpec(kind='dsd', p=1.5) is repeated in the grid"),
+            (["compare", "--instances", "3", "3"], "instance size 3 is repeated in (3, 3)"),
         ],
-        ids=["fit --k 0", "fit --max-iter 0", "sweep --jobs 0", "compare --outlier-c nan --jobs 1"],
+        ids=["fit --k 0", "fit --max-iter 0", "sweep --jobs 0", "compare --outlier-c nan --jobs 1",
+             "sweep --p-values 1.5 1.5", "compare --instances 3 3"],
     )
     def test_bad_setting_exits_2_before_loading_the_input(
         self, dataset_csv, tmp_path, capsys, monkeypatch, argv, message

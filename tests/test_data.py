@@ -129,6 +129,30 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 3 has a non-numeric"):
             load_csv(f)
 
+    @pytest.mark.parametrize(
+        "body, row",
+        [
+            (b"a,\xe9b\n1,2\n", 1),
+            (b"a,b\n1,2\n3,\xe94\n5,6\n", 3),
+            (b"a,b,class\n1,2,x\n\n3,4,\xe9y\n", 4),
+            (b"a,b\n1,nan\n3,\xff\n", 3),
+            (b"a,b\n" + b"1,2\n" * 15000 + b"3,\xe94\n" + b"5,6\n" * 5000, 15002),
+        ],
+        ids=["header", "body", "label after a blank line", "after a non-finite row", "row 15002"],
+    )
+    def test_byte_that_is_not_utf8_names_row(self, tmp_path, body, row):
+        f = tmp_path / "d.csv"
+        f.write_bytes(body)
+        with pytest.raises(ValueError) as err:
+            load_csv(f)
+        assert str(err.value) == f"{f}: row {row} is not valid UTF-8"
+
+    def test_earlier_bad_row_reported_before_a_byte_that_is_not_utf8(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"a,b\n1,2,3\n4,\xe95\n")
+        with pytest.raises(ValueError, match="row 2 has 3 cells, expected 2"):
+            load_csv(f)
+
     def test_surrounding_whitespace_and_quotes_accepted(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text('a,b,class\n 1.5 ,"\t-2e3","a ""b"", c"\n', encoding="utf-8")

@@ -243,6 +243,43 @@ class TestEvaluate:
                 run(rng.random((rows, 2)), model, OutlierPolicy(kind=kind))
 
 
+class TestReportDerivation:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_clustered_and_percentages_follow_the_counts(self, spec):
+        data = np.random.default_rng(43).standard_normal((150, 3))
+        model = fitted(data, k=3, metric=spec)
+        policies = (OutlierPolicy("none"), OutlierPolicy("sigma", c=1.0), OutlierPolicy("quantile", q=0.8))
+        for policy in policies:
+            report = evaluate(data, model, policy)
+            flagged = int(flag_outliers(data, model, policy).sum())
+            assert report.clustered == sum(report.per_cluster_counts) == 150 - flagged
+            assert report.cluster_accuracy_pct == 100.0 * report.clustered / 150
+            assert report.outlier_pct == 100.0 - report.cluster_accuracy_pct
+            doc = json.loads(report.to_json())
+            assert (doc["clustered"], doc["accuracy_pct"], doc["outlier_pct"]) == (
+                report.clustered, report.cluster_accuracy_pct, report.outlier_pct
+            )
+
+    @pytest.mark.parametrize(
+        "counts, total, message",
+        [
+            ((6, 5), 10, r"clustered \(11\) must lie in \[0, total=10\]"),
+            ((), 0, "total must be positive"),
+        ],
+    )
+    def test_counts_that_do_not_fit_the_total_rejected(self, counts, total, message):
+        fields = dict(policy=OutlierPolicy(), metric="euclidean", p=None, seed=0)
+        with pytest.raises(ValueError, match=message):
+            EvaluationReport(per_cluster_counts=counts, total=total, **fields)
+        report = EvaluationReport(per_cluster_counts=(1, 2), total=10, **fields)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(report, per_cluster_counts=counts, total=total)
+
+    def test_report_stores_no_derived_number(self):
+        names = [f.name for f in dataclasses.fields(EvaluationReport)]
+        assert names == ["per_cluster_counts", "total", "policy", "metric", "p", "seed"]
+
+
 class TestReportSerialization:
     def make_report(self):
         data = np.random.default_rng(31).random((50, 2))

@@ -203,6 +203,20 @@ class TestInitCentroids:
         expected = reference_kmeans_pp(data, cfg)
         assert init_centroids(data, cfg).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_kmeans_pp_draws_as_rng_choice(self, spec):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 17, 1000):
+            # distinct rows, then copies of them: every chosen row and each
+            # of its copies has weight zero at the following steps
+            distinct = rng.random(((n + 1) // 2, 3))
+            data = np.concatenate([distinct, distinct[: n // 2]])
+            for seed in range(6):
+                for k in sorted({1, min(n, 2), min(n, 16)}):
+                    cfg = ClusteringConfig(k=k, metric=spec, seed=seed)
+                    expected = reference_kmeans_pp(data, cfg)
+                    assert init_centroids(data, cfg).tobytes() == expected.tobytes(), (n, seed, k)
+
     @pytest.mark.parametrize("spec", SEEDING_SPECS, ids=str)
     def test_kmeans_pp_computes_each_row_once_per_step(self, spec, monkeypatch):
         rng = np.random.default_rng(23)
@@ -332,22 +346,28 @@ class TestFitReference:
 
 class TestUpdateCentroids:
     def test_pair_mean(self):
-        ctr = update_centroids(np.array([[0.0], [1.0]]), [0, 0], 1, [[0.0]], EUCLID)
+        ctr = update_centroids(np.array([[0.0], [1.0]]), [0, 0], [[0.0]], EUCLID)
         assert ctr.tolist() == [[0.5]]
 
     def test_single_cluster_is_dataset_mean(self):
-        ctr = update_centroids(BLOBS_1D, [0, 0, 0, 0], 1, [[0.0]], EUCLID)
+        ctr = update_centroids(BLOBS_1D, [0, 0, 0, 0], [[0.0]], EUCLID)
         assert ctr[0, 0] == BLOBS_1D.mean()
 
     def test_empty_cluster_reseeded_with_farthest_point(self):
         prev = np.array([[0.5], [3.0]])
-        ctr = update_centroids(BLOBS_1D, [0, 0, 0, 0], 2, prev_centroids=prev, metric=EUCLID)
+        ctr = update_centroids(BLOBS_1D, [0, 0, 0, 0], prev_centroids=prev, metric=EUCLID)
         # cluster 1 is empty; farthest point from its former centroid 3.0 is 10.0
         assert ctr[1, 0] == 10.0
 
     def test_out_of_range_assignment_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
-            update_centroids(BLOBS_1D, [0, 0, 0, 2], 2, [[0.0], [1.0]], EUCLID)
+            update_centroids(BLOBS_1D, [0, 0, 0, 2], [[0.0], [1.0]], EUCLID)
+
+    @pytest.mark.parametrize("prev", [[0.0, 9.0], [[0.0, 1.0], [9.0, 1.0]]], ids=["1-D", "2 wide"])
+    def test_prev_centroids_that_do_not_fit_rejected(self, prev):
+        # k is the number of prev_centroids, so they must be 2-D and as wide as the data
+        with pytest.raises(ValueError, match=r"do not fit data of shape \(4, 1\)"):
+            update_centroids(BLOBS_1D, [0, 0, 1, 1], prev, EUCLID)
 
     def test_sums_bitwise_equal_add_at(self):
         rng = np.random.default_rng(43)
@@ -363,7 +383,7 @@ class TestUpdateCentroids:
             expected = sums / np.bincount(labels, minlength=k)[:, None]
             # int8 labels: label * d must not wrap
             got = update_centroids(
-                data, labels.astype(np.int8) if trial % 2 else labels, k, np.zeros((k, dim)), EUCLID
+                data, labels.astype(np.int8) if trial % 2 else labels, np.zeros((k, dim)), EUCLID
             )
             assert got.tobytes() == expected.tobytes(), trial
 
@@ -377,7 +397,7 @@ class TestUpdateCentroids:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="cluster 1 cannot be re-seeded.*normalize the data"):
-                update_centroids(data, [0, 0, 2, 2], 3, prev_centroids=prev, metric=spec)
+                update_centroids(data, [0, 0, 2, 2], prev_centroids=prev, metric=spec)
             cfg = ClusteringConfig(k=3, metric=spec, initial_centroids=prev, max_iter=1)
             with pytest.raises(ValueError, match="normalize the data"):
                 fit(data, cfg)
@@ -422,7 +442,7 @@ class TestAssignmentChecks:
     def test_malformed_assignments_rejected_by_update_and_sse(self, labels, message):
         data = np.array([[0.0], [1.0], [9.0]])
         with pytest.raises(ValueError, match=message):
-            update_centroids(data, labels, 2, [[0.0], [1.0]], EUCLID)
+            update_centroids(data, labels, [[0.0], [1.0]], EUCLID)
         with pytest.raises(ValueError, match=message):
             sse(data, [[0.0], [1.0]], labels)
 
@@ -463,9 +483,9 @@ class TestLayouts:
                     pairwise_distances(spec, view, ctr).tobytes(),
                     nearest_centers(spec, view, ctr).tobytes(),
                     nearest_centers(spec, view, ctr, squared_norms(spec, view)).tobytes(),
-                    update_centroids(view, labels, 5, prev_centroids=ctr, metric=spec).tobytes(),
+                    update_centroids(view, labels, prev_centroids=ctr, metric=spec).tobytes(),
                     # cluster 4 is empty and re-seeded under the metric
-                    update_centroids(view, labels % 4, 5, prev_centroids=ctr, metric=spec).tobytes(),
+                    update_centroids(view, labels % 4, prev_centroids=ctr, metric=spec).tobytes(),
                     sse(view, ctr, labels),
                 ))
             assert len(results) == 1
@@ -559,6 +579,38 @@ class TestFit:
             ClusteringConfig(k=2, metric="euclidean")
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ClusteringConfig(k=2), metric="euclidean")
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_iterations_and_final_sse_derive_from_the_history(self, spec, monkeypatch):
+        data = np.random.default_rng(37).random((200, 4))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assign(*args, **kwargs)
+
+        monkeypatch.setattr(kmeans, "assign", counted)
+        stops = set()
+        for max_iter in (1, 2, 3, 100):
+            for start in STARTS:
+                calls.clear()
+                cfg = start_config(start, data, 4, seed=3, metric=spec, max_iter=max_iter)
+                model = fit(data, cfg)
+                stops.add(model.converged)
+                history = model.sse_per_iter
+                # one assignment per centroid update, and a converged fit's
+                # last one repeats the one before
+                assert model.iterations_run == len(calls) == len(history) + model.converged
+                assert model.converged or len(history) == max_iter
+                again = sse(data, model.centroids, model.assignments)
+                assert model.final_sse == history[-1] == again
+                doc = json.loads(model.to_json())
+                assert (doc["iterations"], doc["sse"]) == (model.iterations_run, model.final_sse)
+        assert stops == {False, True}
+
+    def test_model_stores_no_derived_number(self):
+        names = [f.name for f in dataclasses.fields(kmeans.ClusterModel)]
+        assert names == ["centroids", "assignments", "converged", "metric", "seed", "sse_per_iter"]
 
     def test_config_has_one_seeding_field(self):
         names = [f.name for f in dataclasses.fields(ClusteringConfig)]

@@ -101,8 +101,16 @@ class TestPlanValidation:
             (dict(instance_sizes=(60.0, 120.0)),
              r"instance sizes must be integers, got \(60.0, 120.0\)"),
             (dict(instance_sizes=(60, True)), "instance sizes must be integers"),
+            (dict(instance_sizes=(60, 120, 120)),
+             r"instance size 120 is repeated in \(60, 120, 120\)"),
+            (dict(instance_sizes=(60, 60, 50)), r"must be non-decreasing, got \(60, 60, 50\)"),
+            (dict(metrics=dsd_grid(1.5, 2, 1.5)),
+             r"metric DistanceSpec\(kind='dsd', p=1.5\) is repeated in the grid"),
+            (dict(metrics=(DistanceSpec("euclidean"), *DEFAULT_COMPARISON_METRICS)),
+             r"metric DistanceSpec\(kind='euclidean', p=None\) is repeated"),
         ],
-        ids=["jobs 0", "jobs 1.5", "jobs True", "sizes 60.0 120.0", "size True"],
+        ids=["jobs 0", "jobs 1.5", "jobs True", "sizes 60.0 120.0", "size True",
+             "sizes 60 120 120", "sizes 60 60 50", "p 1.5 2 1.5", "euclidean twice"],
     )
     def test_bad_jobs_or_sizes_rejected_built_or_replaced(self, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -267,13 +275,12 @@ class TestResultSerialization:
 
     @pytest.mark.parametrize("p", [None, 1.523, 2])
     def test_csv_row_matches_evaluation_report(self, p):
-        acc = 99.72532862468118
         plan = SweepPlan(k=2)
         report = EvaluationReport(
-            per_cluster_counts=(3069, 2014), total=5097, clustered=5083,
-            cluster_accuracy_pct=acc, outlier_pct=100.0 - acc, policy=plan.policy,
+            per_cluster_counts=(3069, 2014), total=5097, policy=plan.policy,
             metric="dsd", p=p, seed=7,
         )
+        assert report.cluster_accuracy_pct == 99.72532862468118
         row = SweepRow(report=report, iterations=4, wall_ms=1.5)
         text = SweepResult(rows=(row,), plan=plan).to_csv()
         assert report.to_csv() == text
