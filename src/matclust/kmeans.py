@@ -9,10 +9,12 @@ the unchanged-assignment check and the iteration cap.
 
 k-means++ seeding keeps each point's distance to its nearest chosen
 centroid and folds in the n exact distances to each new centroid with
-np.minimum. fit holds the data column-major, so each attribute's values
-are contiguous for the metrics module's exact core and for the centroid
-sums, and computes the row norms of assign's certificate once. Every step
-gives bitwise the same result for data in any layout.
+np.minimum; it needs every exact distance, so it has no ranking. fit
+holds the data column-major, so each attribute's values are contiguous
+for the metrics module's exact core and for the centroid sums, and
+computes the row norms of assign's certificate once: |x|^2 for the
+euclidean family, the l1 norm for the other kinds. Every step gives
+bitwise the same result for data in any layout.
 
 Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_count, check_seed, json_text
-from .metrics import DistanceSpec, nearest_centers, pairwise_distances, squared_norms
+from .metrics import DistanceSpec, certificate_norms, nearest_centers, pairwise_distances
 
 DEFAULT_SEED = 42
 
@@ -66,7 +68,12 @@ class ClusteringConfig:
 @dataclass(frozen=True)
 class ClusterModel:
     """A fitted model. sse_per_iter holds the SSE after each centroid
-    update; final_sse and iterations_run are derived from it."""
+    update; final_sse and iterations_run are derived from it.
+
+    Checked when built: sse_per_iter must not be empty, centroids must be a
+    2-D array of at least one row and one column, and assignments one
+    integer label in [0, k) per point.
+    """
 
     centroids: np.ndarray
     assignments: np.ndarray
@@ -74,6 +81,17 @@ class ClusterModel:
     metric: DistanceSpec
     seed: int
     sse_per_iter: tuple[float, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.sse_per_iter:
+            raise ValueError("sse_per_iter is empty: a model has at least one centroid update")
+        centroids = np.shape(self.centroids)
+        if len(centroids) != 2 or 0 in centroids:
+            raise ValueError(f"centroids must be a non-empty 2-D array, got shape {centroids}")
+        labels = np.shape(self.assignments)
+        if len(labels) != 1:
+            raise ValueError(f"assignments must be a 1-D array, got shape {labels}")
+        _check_assignments(self.assignments, labels[0], centroids[0])
 
     @property
     def final_sse(self) -> float:
@@ -164,7 +182,7 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
 def assign(dataset, centroids, metric: DistanceSpec, row_norms=None) -> np.ndarray:
     """Map each point to its nearest centroid; ties go to the lowest index.
 
-    row_norms, if given, must be metrics.squared_norms(metric, dataset).
+    row_norms, if given, must be metrics.certificate_norms(metric, dataset).
     """
     return nearest_centers(metric, dataset, centroids, row_norms)
 
@@ -270,7 +288,7 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
         row = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
 
-    row_norms = squared_norms(config.metric, data)
+    row_norms = certificate_norms(config.metric, data)
     centroids = init_centroids(data, config)
     labels = None
     converged = False

@@ -12,9 +12,11 @@ values each, with results written center-major as a (k, m) block. Those
 values are contiguous when the points are held column-major, as fit holds
 them; row-major points work too, more slowly. pairwise_distances and
 nearest_centers both use the core; a DistanceSpec checks itself when it
-is built, so neither checks it again. For the euclidean family,
-nearest_centers first ranks the centers by a matrix product; only rows
-its rounding bound leaves open get the exact core.
+is built, so neither checks it again. nearest_centers first ranks the
+centers cheaply: by a matrix product for the euclidean family, and by the
+core itself on a float32 copy of each row block for cityblock, chebyshev
+and minkowski. Only rows that its rounding bound leaves open get the
+float64 core.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """The (k, m) distances from k centers to m points given by their
-    columns, a (d, m) array; m is at most _block_rows(d).
+    columns, a (d, m) array; m is at most _block_rows(d). Computed in the
+    dtype of columns and centers: float64, or float32 for the screen of
+    nearest_centers.
 
     The one exact core: every distance in this module is computed here.
     Per center it subtracts the center from the columns, takes abs, the
@@ -173,8 +177,8 @@ def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.n
     (rows, k, d) broadcast formula, so the results are bitwise its own.
     """
     d, m = columns.shape
-    out = np.empty((centers.shape[0], m))
-    diff = np.empty((d, m))
+    out = np.empty((centers.shape[0], m), dtype=columns.dtype)
+    diff = np.empty((d, m), dtype=columns.dtype)
     kind = spec.kind
     for j, center in enumerate(centers):
         np.subtract(columns, center[:, None], out=diff)
@@ -248,18 +252,25 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-_MAX = float(np.finfo(np.float64).max)
 
 
-def squared_norms(spec: DistanceSpec, points) -> np.ndarray | None:
-    """|x|^2 of each point, which nearest_centers' certificate uses for
-    euclidean, sqeuclidean and dsd; None for the other kinds, which need
-    none. A caller that assigns one dataset many times computes it once
-    and passes it on."""
-    if spec.kind not in _SQUARED_FAMILY:
-        return None
+# a norm that overflows is inf, which certifies no row
+@np.errstate(over="ignore")
+def certificate_norms(spec: DistanceSpec, points) -> np.ndarray:
+    """The row norms that nearest_centers' certificate uses for this kind:
+    |x|^2 of each point for euclidean, sqeuclidean and dsd, and its l1
+    norm, the sum of |x_t|, for cityblock, chebyshev and minkowski. A
+    caller that assigns one dataset many times computes them once and
+    passes them on."""
     pts = np.asarray(points, dtype=np.float64)
-    return np.einsum("ij,ij->i", pts, pts)
+    if spec.kind in _SQUARED_FAMILY:
+        return np.einsum("ij,ij->i", pts, pts)
+    norms = np.empty(pts.shape[0])
+    step = _block_rows(pts.shape[1])  # no n x d temporary
+    for start in range(0, pts.shape[0], step):
+        rows = slice(start, start + step)
+        np.sum(np.abs(pts[rows]), axis=1, out=norms[rows])
+    return norms
 
 
 def _squared_test(d: int, pts_sq: np.ndarray, ctr_sq: float) -> tuple[float, np.ndarray]:
@@ -297,16 +308,86 @@ def _squared_test(d: int, pts_sq: np.ndarray, ctr_sq: float) -> tuple[float, np.
     return (d + 36) * _EPS, (d + 3) * _EPS * (3.0 * (pts_sq + ctr_sq)) + 4.0 * _TINY
 
 
+# float32's unit roundoff
+_U32 = 2.0**-24
+
+
+def _screen_test(
+    spec: DistanceSpec, d: int, pts_l1: np.ndarray, ctr_l1: float
+) -> tuple[float, np.ndarray]:
+    """c and the slack of the float32 screen for rows with these l1 norms,
+    against centers whose largest l1 norm is ctr_l1.
+
+    A row whose float32 distances f_j (the exact core run on float32
+    copies of the row and the centers) have the two smallest s1 <= s2
+    keeps the argmin a of f when (1 - c)*s2 - s1 > kappa*u*N + (d + 1)*2^-147,
+    with u = 2^-24, N = |x|_1 + max_j |c_j|_1, c = (5d + 8)*2^-52 and kappa
+    3d + 3 for cityblock, 6 for chebyshev and 18 + 10d/p for minkowski.
+    Why. Notation: v the unit roundoff of a format (u for float32, 2^-53
+    for float64), gamma_n = n*v/(1 - n*v), y_t = |x_t - c_t| for a center
+    c, D = sum_t y_t, max_t y_t or |y|_p its true distance and e its float64
+    distance. The bound assumes (d + p)*u <= 2^-6, with p = 0 but for
+    minkowski; beyond it the slack is inf. So gamma_n <= 1.016*n*v for
+    n <= d, and (1 + v)^p <= 1 + 1.016*p*v.
+    1. Casts and differences. A float32 cast errs by at most u*|x_t| +
+       2^-150. A float32 difference, sum, quotient or product errs by u
+       relatively, and a difference or sum whose result is subnormal is
+       exact. So the float32 terms a_t = fl(|x'_t - c'_t|) have
+       sum_t |a_t - y_t| <= E := 2.0001*u*N + 1.0001*d*2^-149, as
+       sum_t (|x_t| + |c_t|) <= N, and sum_t a_t <= (1 + 2.01u)*N.
+    2. cityblock sums the a_t in some order: |f - D| <= gamma_(d-1)*(1 +
+       2.01u)*N + E <= (1.02d + 1)*u*N + 1.02*d*2^-149. chebyshev's max
+       is exact: |f - D| <= E.
+    3. minkowski divides by top = max_t a_t, raises to p, sums to S_c and
+       returns top * S_c^h, h being 1/p as the format holds it. It assumes
+       that `r **= p` errs by at most 2v for r in [0, 1] and that S^h errs
+       by at most 4v relatively for S in [1, 2^18]; TestPowBudget checks
+       both, in float32 and float64. S = sum_t (a_t/top)^p >= 1, as the
+       top term is exactly 1. The quotients' relative v, raised to p, the
+       powers' absolute 2v and the sum's gamma_(d-1) give |S_c - S| <=
+       eta*S, eta = 1.04*(p + 3d)*v < 0.05; subnormal quotients add under
+       d*2^-149, which the 1.04 covers. The root turns eta into at most
+       1.06*eta/p, and the rounding of h costs at most ln(S_c)*v/p <=
+       1.01*d*v/p. With the root's 4v and the product's v, f is within
+       (6.2 + 4.4d/p)*v of |a|_p relatively, plus 2^-150 for a subnormal
+       result. As |a|_p <= sum_t a_t and | |a|_p - D | <= E, |f - D| <=
+       (8.3 + 4.5d/p)*u*N + (d + 1)*2^-149. The float64 core takes the
+       same steps on exact inputs: |e - D| <= (7.2 + 4.4d/p)*2^-53*D +
+       2^-1075.
+    So |f_j - D_j| <= A := K*u*N + (d + 1)*2^-149 with 2K + 1 <= kappa,
+    and |e_j - D_j| <= rho*D_j + 2^-1075 with 2*rho <= c: for cityblock
+    rho = gamma_d, for chebyshev 2^-53. For a center b other than a, f_b
+    >= s2 and f_a = s1, so D_b - D_a >= f_b - s1 - 2A and D_b <= f_b + A.
+    The test, whose left side grows with f_b, then gives (1 - 2*rho)*f_b -
+    s1 > 2*(1 + rho)*A + 2^-1074, so e_b > e_a: the float64 argmin is a,
+    and no tie is left for the lowest index to break. The + 1 in kappa
+    covers the float64 rounding of N, of the slack and of the test, and
+    (d + 1)*2^-147 covers the rest of the right side. Where N >= 2^126 a
+    float32 value could overflow; the slack is inf there, so a certified
+    row's distances are all finite, and a NaN norm certifies nothing.
+    """
+    p = spec.p if spec.kind == MINKOWSKI else 0.0
+    if (d + p) * _U32 > 2.0**-6:
+        return 0.0, np.full(pts_l1.shape, np.inf)
+    if spec.kind == MINKOWSKI:
+        kappa = 18 + 10 * d / p
+    else:
+        kappa = 3 * d + 3 if spec.kind == CITYBLOCK else 6
+    norm = pts_l1 + ctr_l1
+    slack = np.where(norm < 2.0**126, kappa * _U32 * norm + (d + 1) * 2.0**-147, np.inf)
+    return (5 * d + 8) * _EPS, slack
+
+
 def _two_smallest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each column of a (k, m) array: the row of its least value, ties
     to the lowest row, that value, and the least of the other rows' values
-    capped at the largest float. values is overwritten.
+    capped at the largest float of values' dtype. values is overwritten.
 
     k folds of contiguous rows, not m reductions k long. A column with a
     NaN has a NaN least value.
     """
     least = values[0].copy()
-    second = np.full_like(least, _MAX)
+    second = np.full_like(least, np.finfo(values.dtype).max)
     row = np.zeros(least.shape, dtype=np.intp)
     nearer = np.empty(least.shape, dtype=bool)
     low = np.empty_like(least)
@@ -329,49 +410,63 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
     """Index of each point's nearest center, ties to the lowest index.
 
     Bitwise equal to np.argmin(pairwise_distances(spec, points, centers),
-    axis=1). Each row block of the euclidean, sqeuclidean and dsd kinds is
-    ranked by one matrix product, -2C @ columns plus the squared norms; only
-    rows whose top-two gap is within the rounding bound of _squared_test
-    get the exact core. cityblock, chebyshev and minkowski are computed
-    exactly. row_norms, if given, must be squared_norms(spec, points).
-    Raises ValueError when a point's nearest distance is not finite.
+    axis=1). Each row block is ranked cheaply: for the euclidean,
+    sqeuclidean and dsd kinds by one matrix product, -2C @ columns plus the
+    squared norms; for cityblock, chebyshev and minkowski by the exact core
+    on a float32 copy of the block. Only rows whose top-two gap is within
+    the rounding bound of _squared_test or _screen_test get the float64
+    exact core. row_norms, if given, must be certificate_norms(spec,
+    points). Raises ValueError when a point's nearest distance is not
+    finite.
     """
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
         raise ValueError("at least one centroid is required")
     columns = np.asfortranarray(pts).T
-    n = pts.shape[0]
-    labels = np.empty(n, dtype=np.intp)
-    count = n
-    ranked = spec.kind in _SQUARED_FAMILY
-    if ranked:
-        if row_norms is None:
-            row_norms = squared_norms(spec, pts)
+    (n, d), k = pts.shape, ctr.shape[0]
+    if row_norms is None:
+        row_norms = certificate_norms(spec, pts)
+    if spec.kind in _SQUARED_FAMILY:
         ctr_sq = np.einsum("ij,ij->i", ctr, ctr)[:, None]
         ctr_minus2 = -2.0 * ctr
-        c, slack = _squared_test(ctr.shape[1], row_norms, ctr_sq.max())
-        certified = np.empty(n, dtype=bool)
-        step = _block_rows(ctr.shape[0])
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
+        c, slack = _squared_test(d, row_norms, ctr_sq.max())
+        step = _block_rows(k)
+
+        def rank(rows: slice) -> np.ndarray:
             g = _product(ctr_minus2, columns[:, rows])
             g += row_norms[rows]
             g += ctr_sq
-            labels[rows], s1, s2 = _two_smallest(g)
-            certified[rows] = (1.0 - c) * s2 - s1 > slack[rows]
-        exact = np.flatnonzero(~certified)
-        count = exact.size
-    step = _block_rows(ctr.shape[1])
-    for start in range(0, count, step):
-        rows = exact[start : start + step] if ranked else slice(start, start + step)
+            return g
+    else:
+        ctr32 = ctr.astype(np.float32)
+        c, slack = _screen_test(spec, d, row_norms, np.abs(ctr).sum(axis=1).max())
+        step = _block_rows(d)
+        stage = np.empty((d, min(step, n)), dtype=np.float32)  # reused per block
+
+        def rank(rows: slice) -> np.ndarray:
+            block = columns[:, rows]
+            staged = stage[:, : block.shape[1]]
+            np.copyto(staged, block, casting="same_kind")
+            return _exact(spec, staged, ctr32)
+
+    labels = np.empty(n, dtype=np.intp)
+    certified = np.empty(n, dtype=bool)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        labels[rows], s1, s2 = _two_smallest(rank(rows))
+        # the screen's s1 and s2 are float32; the test is made in float64
+        certified[rows] = (1.0 - c) * s2.astype(np.float64) - s1 > slack[rows]
+    exact = np.flatnonzero(~certified)
+    step = _block_rows(d)
+    for start in range(0, exact.size, step):
+        rows = exact[start : start + step]
         nearest, least, _ = _two_smallest(_exact(spec, columns[:, rows], ctr))
         bad = ~np.isfinite(least)
         if bad.any():
-            row = int(np.arange(n)[rows][np.argmax(bad)])
             raise ValueError(
-                f"point {row} has no finite distance to any centroid: the "
-                "distances overflow float64 (or the data is not finite); "
-                "normalize the data"
+                f"point {int(rows[np.argmax(bad)])} has no finite distance to any "
+                "centroid: the distances overflow float64 (or the data is not "
+                "finite); normalize the data"
             )
         labels[rows] = nearest
     return labels

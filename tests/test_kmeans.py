@@ -21,9 +21,9 @@ from matclust.kmeans import (
 from matclust.metrics import (
     METRIC_KINDS,
     DistanceSpec,
+    certificate_norms,
     nearest_centers,
     pairwise_distances,
-    squared_norms,
 )
 
 EUCLID = DistanceSpec("euclidean")
@@ -482,7 +482,7 @@ class TestLayouts:
                 results.add((
                     pairwise_distances(spec, view, ctr).tobytes(),
                     nearest_centers(spec, view, ctr).tobytes(),
-                    nearest_centers(spec, view, ctr, squared_norms(spec, view)).tobytes(),
+                    nearest_centers(spec, view, ctr, certificate_norms(spec, view)).tobytes(),
                     update_centroids(view, labels, prev_centroids=ctr, metric=spec).tobytes(),
                     # cluster 4 is empty and re-seeded under the metric
                     update_centroids(view, labels % 4, prev_centroids=ctr, metric=spec).tobytes(),
@@ -739,6 +739,37 @@ class TestProperties:
             )
             partitions.append(partition)
         assert len(set(partitions)) == 1
+
+
+class TestClusterModelChecks:
+    def build(self, **overrides):
+        fields = dict(centroids=np.zeros((2, 1)), assignments=np.array([0, 1, 1]),
+                      converged=False, metric=EUCLID, seed=0, sse_per_iter=(1.0,))
+        fields.update(overrides)
+        return kmeans.ClusterModel(**fields)
+
+    def test_a_valid_model_is_built(self):
+        assert self.build().final_sse == 1.0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(sse_per_iter=()), "sse_per_iter is empty"),
+            (dict(centroids=np.zeros(3)), r"centroids must be a non-empty 2-D array, got shape \(3,\)"),
+            (dict(centroids=np.zeros((0, 2))), "non-empty 2-D array"),
+            (dict(centroids=np.zeros((2, 0))), "non-empty 2-D array"),
+            (dict(assignments=np.zeros((3, 1), dtype=int)), r"1-D array, got shape \(3, 1\)"),
+            (dict(assignments=np.array([0, 2, 1])), r"assignments must lie in \[0, 2\)"),
+            (dict(assignments=np.array([0.0, 1.0])), "assignments must be integers"),
+        ],
+    )
+    def test_inconsistent_model_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            self.build(**bad)
+
+    def test_an_empty_history_fails_when_built_not_when_written(self):
+        with pytest.raises(ValueError, match="sse_per_iter is empty"):
+            kmeans.ClusterModel(np.zeros((1, 1)), np.zeros(3, int), False, EUCLID, 0, ())
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from matclust.metrics import (
     DSD,
     METRIC_KINDS,
     DistanceSpec,
+    certificate_norms,
     distance,
     nearest_centers,
     pairwise_distances,
-    squared_norms,
 )
 
 # 25^(1.523/3) evaluated at 60 decimal digits with mpmath, frozen here
@@ -251,6 +252,11 @@ NEAREST_SPECS = ALL_SPECS + [DistanceSpec(DSD, 1.0), DistanceSpec(DSD, 3.0)]
 
 CORE_SPECS = NEAREST_SPECS + [DistanceSpec("minkowski", p) for p in (1.0, 1.5, 7.0)]
 
+# the kinds whose ranking is the exact core in float32
+SCREENED_SPECS = [DistanceSpec("cityblock"), DistanceSpec("chebyshev")] + [
+    DistanceSpec("minkowski", p) for p in (1.0, 1.5, 2.5, 40.0)
+]
+
 
 @st.composite
 def core_problems(draw, dim):
@@ -342,6 +348,28 @@ def assignment_problems(draw):
     return pts + offset, ctr + offset
 
 
+@st.composite
+def screen_problems(draw):
+    """Points and centers with duplicates, 1-ulp near-ties and attributes of
+    mixed magnitudes, from float32's subnormals to beyond its range."""
+    n = draw(st.integers(1, 20))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctr = rng.random((k, dim))
+    pts = np.concatenate([rng.random((n, dim)), ctr])  # a duplicate of each center
+    if draw(st.booleans()):  # a duplicated center, and one a ulp from it
+        ctr = np.concatenate([ctr, ctr[:1], np.nextafter(ctr[:1], 2.0)])
+    if draw(st.booleans()):  # the midpoint of two centers, and a ulp either side
+        mid = (ctr[:1] + ctr[-1:]) / 2
+        pts = np.concatenate([pts, mid, np.nextafter(mid, -1.0), np.nextafter(mid, 2.0)])
+    # powers of two scale exactly above the subnormals, keeping ties and ulp steps
+    exponent = st.one_of(st.integers(-160, 160), st.sampled_from([-149, -148, -126, 127, 128, 129]))
+    exponents = draw(st.lists(exponent, min_size=dim, max_size=dim))
+    scale = 2.0 ** np.array(exponents, dtype=float)
+    return pts * scale, ctr * scale
+
+
 class TestNearestCenters:
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
     @settings(max_examples=60, deadline=None)
@@ -389,13 +417,14 @@ class TestNearestCenters:
 
     @staticmethod
     def exact_rows(monkeypatch, spec, pts, ctr):
-        """Rows that nearest_centers computes with the exact core."""
+        """Rows that nearest_centers computes with the float64 exact core."""
         expected = exact_nearest(spec, pts, ctr)
         seen = []
         core = metrics._exact
 
         def spy(spec_, columns, centers):
-            seen.append(columns.shape[1])
+            if columns.dtype == np.float64:
+                seen.append(columns.shape[1])
             return core(spec_, columns, centers)
 
         with monkeypatch.context() as patch:
@@ -418,12 +447,55 @@ class TestNearestCenters:
         # offset by 1e8 the rounding of the GEMM form exceeds the gaps
         assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == 50
 
-    def test_other_kinds_take_the_exact_path(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        pts, ctr = rng.random((20, 3)), rng.random((4, 3))
-        for spec in (DistanceSpec("cityblock"), DistanceSpec("chebyshev"),
-                     DistanceSpec("minkowski", 2.5)):
-            assert self.exact_rows(monkeypatch, spec, pts, ctr) == 20
+    @pytest.mark.parametrize("spec", SCREENED_SPECS, ids=str)
+    def test_screen_sends_only_open_rows_to_the_exact_core(self, spec, monkeypatch):
+        rng = np.random.default_rng(5)
+        ctr = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        separated = ctr[rng.integers(0, 3, 50)] + 0.01 * rng.random((50, 2))
+        assert self.exact_rows(monkeypatch, spec, separated, ctr) == 0
+        ties = np.array([[0.5, 0.0], [0.0, 0.5], [0.9, 0.0]])  # two exact ties
+        assert self.exact_rows(monkeypatch, spec, ties, ctr) == 2
+        # offset by 1e8, float32 cannot tell the points apart
+        assert self.exact_rows(monkeypatch, spec, separated + 1e8, ctr + 1e8) == 50
+        # beyond float32's range every row is open; among its subnormals the
+        # gaps still exceed the bound
+        assert self.exact_rows(monkeypatch, spec, separated * 1e300, ctr * 1e300) == 50
+        assert self.exact_rows(monkeypatch, spec, separated * 1e-40, ctr * 1e-40) == 0
+        assert self.exact_rows(monkeypatch, spec, ties * 1e-40, ctr * 1e-40) == 2
+
+    @pytest.mark.parametrize("spec", SCREENED_SPECS, ids=str)
+    def test_screen_rounding_that_reorders_centers(self, spec, monkeypatch):
+        # the nearer center, beyond float32's range, casts to inf
+        assert self.exact_rows(monkeypatch, spec, [[3.0e38]], [[0.0], [3.5e38]]) == 1
+        # 0.6 and 1.3 times 2^-149 both round to float32's least subnormal,
+        # which puts the farther center at distance 0
+        tiny = 2.0**-149
+        assert self.exact_rows(monkeypatch, spec, [[0.6 * tiny]], [[0.0], [1.3 * tiny]]) == 1
+
+    @pytest.mark.parametrize("spec", SCREENED_SPECS, ids=str)
+    def test_float64_overflow_rejected_with_the_same_message(self, spec):
+        huge = np.full((2, 2), 1e308)
+        message = (
+            "point 0 has no finite distance to any centroid: the distances overflow "
+            "float64 (or the data is not finite); normalize the data"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nearest_centers(spec, huge, -huge)
+
+    @pytest.mark.parametrize("spec", SCREENED_SPECS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(problem=screen_problems())
+    def test_screen_equals_exact_argmin(self, spec, problem):
+        pts, ctr = problem
+        expected = np.argmin(pairwise_distances(spec, pts, ctr), axis=1)
+        assert np.array_equal(nearest_centers(spec, pts, ctr), expected)
+
+    def test_certificate_norms(self):
+        pts = np.array([[3.0, -4.0], [0.0, 0.5]])
+        for spec in (DistanceSpec("euclidean"), DistanceSpec("sqeuclidean"), DistanceSpec(DSD, 2)):
+            assert certificate_norms(spec, pts).tolist() == [25.0, 0.25]
+        for spec in SCREENED_SPECS:
+            assert certificate_norms(spec, pts).tolist() == [7.0, 0.5]
 
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
     def test_row_blocks(self, spec, monkeypatch):
@@ -455,6 +527,41 @@ class TestNearestCenters:
     def test_zero_centers_rejected(self):
         with pytest.raises(ValueError, match="at least one centroid"):
             nearest_centers(DistanceSpec("euclidean"), [[1.0]], np.empty((0, 1)))
+
+
+class TestPowBudget:
+    """The accuracy of np.power that _screen_test's bound for minkowski
+    assumes, in a format of unit roundoff v: `r **= p` within 2v of r^p for
+    r in [0, 1], and np.power(S, 1.0 / p) within 4v of S^h relatively for S
+    in [1, 2^18], h being 1/p as the format holds it. numpy picks these
+    loops by the CPU's SIMD extensions at run time (`numpy.show_runtime()`
+    lists them), so the budget is checked where the tests run."""
+
+    @staticmethod
+    def errors(dtype, reference, p):
+        v = float(np.finfo(dtype).eps) / 2
+        tiny = float(np.finfo(dtype).smallest_subnormal)
+        r = np.concatenate([np.linspace(0, 1, 2**16 + 1), np.geomspace(tiny, 1, 2**14)])
+        r = r.astype(dtype)
+        powered = r.copy()
+        powered **= p
+        pow_error = np.abs(powered - np.power(r.astype(reference), reference(p))).max()
+        s = np.geomspace(1, 2**18, 2**16).astype(dtype)
+        exact = np.power(s.astype(reference), reference(dtype(1.0 / p)))
+        root_error = (np.abs(np.power(s, 1.0 / p) - exact) / exact).max()
+        return float(pow_error) / v, float(root_error) / v
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 40.0])
+    def test_float32(self, p):
+        pow_error, root_error = self.errors(np.float32, np.float64, p)
+        assert pow_error <= 2 and root_error <= 4
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 40.0])
+    def test_float64(self, p):
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("the reference needs an 80-bit long double")
+        pow_error, root_error = self.errors(np.float64, np.longdouble, p)
+        assert pow_error <= 2 and root_error <= 4
 
 
 class TestAxioms:

@@ -87,10 +87,17 @@ class TestPlanValidation:
                 run_sweep(small_plan(metrics=metrics, jobs=2, **bad), small_data)
         assert calls == []
 
-    def test_validation_happens_before_fitting(self, small_data):
-        # error surfaces immediately even though the grid would be expensive
-        with pytest.raises(ValueError, match="above 3"):
-            run_sweep(small_plan(metrics=dsd_grid(3.5, *[1.5] * 1000)), small_data)
+    def test_validation_happens_before_fitting(self, small_data, monkeypatch):
+        # a valid grid of 200 p values by four sizes, the last one larger
+        # than the data: the error comes before any of its 800 cells is fitted
+        calls = []
+        monkeypatch.setattr(sweep, "fit", lambda *a: calls.append(a))
+        plan = small_plan(metrics=dsd_grid(*np.linspace(1.0, 3.0, 200)),
+                          instance_sizes=(60, 120, 240, 241))
+        message = r"largest instance size \(241\) exceeds dataset size \(240\)"
+        with pytest.raises(ValueError, match=message):
+            run_sweep(plan, small_data)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "bad, message",
