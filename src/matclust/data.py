@@ -3,13 +3,16 @@
 Input CSV: UTF-8, comma-separated, one header row, numeric attribute columns,
 optional trailing ``class`` label column (the header that save_dataset_csv
 writes for a labelled dataset). Any cell may be quoted with ``"``
-(``""`` inside quotes is one quote). An attribute cell is an ASCII decimal
+(``""`` inside quotes is one quote); a quoted cell may hold line ends (LF,
+CR LF or a lone CR), which are read as written, and save_dataset_csv quotes
+every cell that holds one. An attribute cell is an ASCII decimal
 number, optionally signed, in plain or scientific notation (``-1.5``,
 ``2e-3``), with surrounding whitespace allowed. Digit-group separators
 (``1,000``, ``1_000``), non-ASCII digits and non-finite cells (``nan``,
 ``inf``, or a value that overflows) are rejected, naming the file row, as
 is a row (the header included) that is not valid UTF-8. Blank lines are
-skipped but count toward that row number.
+skipped but count toward that row number. The body is parsed in C by one
+np.loadtxt call, given the file's path (see load_csv).
 
 Outputs: every CSV float is rendered by ``fmt_float`` (17 significant
 digits, so every save/load round-trip is exact) and every table by
@@ -63,38 +66,43 @@ class Dataset:
 def load_csv(path) -> Dataset:
     """Parse a headered CSV into a Dataset; any bad cell aborts the load.
 
-    The body is parsed by one np.loadtxt call. Only when that fails, or a
-    value is not finite, does a second, cell-by-cell pass over the file find
-    the first bad row to name in the error.
+    csv.reader reads the header, which may span lines inside quotes. The
+    body is parsed by one np.loadtxt call given the path, past the header's
+    lines: given a path, its C reader pulls the file in chunks, where given
+    an open file it takes it line by line. It opens the path with universal
+    newlines, which read a quoted CR or CR LF in a label as LF; so when a
+    label holds an LF, the body is parsed again from an open file, which
+    keeps every line end as written. Only when a parse fails, or a value is
+    not finite, does a second, cell-by-cell pass over the file find the
+    first bad row to name in the error.
     """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such file: {p}")
     with p.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise ValueError(f"{p}: file is empty") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{p}: {_first_bad_row(p)}") from exc
-        has_labels = bool(header) and header[-1] == _LABEL_COLUMN
-        attr_names = tuple(header[:-1] if has_labels else header)
-        if not attr_names:
-            raise ValueError(f"{p}: no attribute columns in header")
-        if has_labels:
-            dtype = np.dtype([("points", np.float64, (len(attr_names),)), ("label", object)])
-        else:
-            dtype = np.float64
-        try:
-            with warnings.catch_warnings():
-                # a body of blank lines is reported below as "no data rows"
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                    ndmin=1 if has_labels else 2,
-                )
-        except ValueError as exc:  # a UnicodeDecodeError is one
-            raise ValueError(f"{p}: {_first_bad_row(p)}") from exc
+    has_labels = bool(header) and header[-1] == _LABEL_COLUMN
+    attr_names = tuple(header[:-1] if has_labels else header)
+    if not attr_names:
+        raise ValueError(f"{p}: no attribute columns in header")
+    if has_labels:
+        dtype = np.dtype([("points", np.float64, (len(attr_names),)), ("label", object)])
+    else:
+        dtype = np.dtype(np.float64)
+
+    table = _parse_body(p, p, dtype, skiprows=reader.line_num, encoding="utf-8")
+    labels = tuple(table["label"].tolist()) if has_labels else None
+    if labels and "\n" in "".join(labels):
+        with p.open(newline="", encoding="utf-8") as fh:
+            next(csv.reader(fh))
+            table = _parse_body(p, fh, dtype)
+        labels = tuple(table["label"].tolist())
 
     points = table["points"] if has_labels else table
     if points.shape[0] == 0:
@@ -103,10 +111,23 @@ def load_csv(path) -> Dataset:
     if points.shape[1] != len(attr_names) or not np.isfinite(points).all():
         raise ValueError(f"{p}: {_first_bad_row(p)}")
     return Dataset(
-        points=np.ascontiguousarray(points),
-        labels=tuple(table["label"].tolist()) if has_labels else None,
-        attribute_names=attr_names,
+        points=np.ascontiguousarray(points), labels=labels, attribute_names=attr_names
     )
+
+
+def _parse_body(p: Path, source, dtype, **kwargs) -> np.ndarray:
+    """The body of the CSV at p, read by np.loadtxt from source (p itself
+    or an open file past the header) as a table of dtype."""
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines is reported by load_csv as "no data rows"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(
+                source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                ndmin=1 if dtype.names else 2, **kwargs,
+            )
+    except ValueError as exc:  # a UnicodeDecodeError is one
+        raise ValueError(f"{p}: {_first_bad_row(p)}") from exc
 
 
 def _parse_cell(cell: str) -> float:
@@ -178,15 +199,22 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def _csv_lines(rows) -> list[str]:
-    """Each row as one csv.writer line."""
+    """Each row as one csv.writer line, ended by LF.
+
+    csv.writer quotes a cell that holds a character of its line terminator.
+    Given LF, Python 3.10 to 3.12 would leave a cell with a lone CR bare,
+    and load_csv would read that CR as a line end. So the writer is given
+    CR LF, which makes every Python quote a cell with a CR or an LF, and
+    each line's CR LF becomes LF.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
     lines = []
     for row in rows:
         buf.seek(0)
         buf.truncate()
         writer.writerow(row)
-        lines.append(buf.getvalue())
+        lines.append(buf.getvalue()[:-2] + "\n")
     return lines
 
 

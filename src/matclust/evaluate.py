@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import csv_text, json_text
 from .kmeans import ClusterModel
-from .metrics import pairwise_distances
+from .metrics import block_rows, pairwise_distances
 
 POLICY_NONE = "none"
 POLICY_SIGMA = "sigma"
@@ -126,11 +126,17 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     if policy.kind == POLICY_NONE:
         return flags
 
-    # each point's distance to its own centroid in one call: the core's
-    # fl(x - c) - 0 is fl(x - c), so this is bitwise the distance of x to c
-    resid = model.centroids[labels]
-    np.subtract(data, resid, out=resid)
-    own = pairwise_distances(model.metric, resid, np.zeros((1, data.shape[1])))[:, 0]
+    # each point's distance to its own centroid, one row block at a time:
+    # the core's fl(x - c) - 0 is fl(x - c), so this is bitwise the distance
+    # of x to c
+    own = np.empty(data.shape[0])
+    origin = np.zeros((1, data.shape[1]))
+    step = block_rows(data.shape[1])
+    for start in range(0, data.shape[0], step):
+        rows = slice(start, start + step)
+        resid = model.centroids[labels[rows]]
+        np.subtract(data[rows], resid, out=resid)
+        own[rows] = pairwise_distances(model.metric, resid, origin)[:, 0]
     for j in range(model.centroids.shape[0]):
         members = labels == j
         if not members.any():

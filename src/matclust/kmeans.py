@@ -11,10 +11,14 @@ k-means++ seeding keeps each point's distance to its nearest chosen
 centroid and folds in the n exact distances to each new centroid with
 np.minimum; it needs every exact distance, so it has no ranking. fit
 holds the data column-major, so each attribute's values are contiguous
-for the metrics module's exact core and for the centroid sums, and
-computes the row norms of assign's certificate once: |x|^2 for the
-euclidean family, the l1 norm for the other kinds. Every step gives
-bitwise the same result for data in any layout.
+for the metrics module's exact core and for the centroid sums; data that
+is column-major already, as normalize.transform returns it, is not
+copied. fit computes the row norms of assign's certificate once: |x|^2
+for the euclidean family, the l1 norm for the other kinds. The SSE adds
+the squared residuals in the order np.sum adds the row-major n x d
+residuals, but computes them a 256 KB leaf at a time. Every step gives
+bitwise the same result for data in any layout, and none holds an n x d
+float64 temporary.
 
 Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and
@@ -254,21 +258,56 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
     return centroids
 
 
+# The SSE's leaves: flat ranges of at most this many residuals (256 KB),
+# each squared in one small buffer and summed by np.sum. At 128 or more,
+# every range split into leaves is one that numpy's pairwise sum splits.
+_SSE_LEAF = 1 << 15
+
+
 def sse(dataset, centroids, assignments) -> float:
     """Sum of squared Euclidean errors between points and their centroids.
 
-    Always squared Euclidean, regardless of the metric used to fit.
+    Always squared Euclidean, regardless of the metric used to fit. For
+    data in any layout, bitwise np.sum((X - C[labels])**2) over row-major
+    residuals, but without holding them: see _residual_sum.
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
     _check_centroids(data, ctr)
     labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
-    # row-major residuals, so the sum adds them in one order for data in
-    # any layout
-    resid = ctr[labels]
-    np.subtract(data, resid, out=resid)
+    if data.size == 0:
+        return 0.0
+    rows = np.empty((min(data.shape[0], _SSE_LEAF // data.shape[1] + 2), data.shape[1]))
+    return float(_residual_sum(data, ctr, labels, 0, data.size, rows))
+
+
+def _residual_sum(data, ctr, labels, start: int, stop: int, rows: np.ndarray) -> float:
+    """The sum of the squared residuals start .. stop - 1 of the row-major
+    n x d residuals data - ctr[labels], in the order np.sum adds them.
+
+    np.sum adds a contiguous range by numpy's pairwise summation: a range of
+    more than 128 terms is split after its first half rounded down to a
+    multiple of 8, and the sums of the two parts are added. This function
+    splits the same way until a part fits _SSE_LEAF, computes the rows that
+    part touches into rows (a buffer of _SSE_LEAF // d + 2 of them), and
+    leaves that part's sum to np.sum over the same terms; np.sum adds it to
+    0.0, which changes no sum of squares. It is a module-level function, not
+    a closure that calls itself, which would form a reference cycle and keep
+    the data alive until the garbage collector ran.
+    """
+    size = stop - start
+    if size > _SSE_LEAF:
+        half = size // 2 - size // 2 % 8
+        head = _residual_sum(data, ctr, labels, start, start + half, rows)
+        return head + _residual_sum(data, ctr, labels, start + half, stop, rows)
+    d = data.shape[1]
+    first, last = start // d, -(-stop // d)
+    resid = rows[: last - first]
+    # labels are checked to lie in [0, k), so clip only skips take's buffer
+    ctr.take(labels[first:last], axis=0, out=resid, mode="clip")
+    np.subtract(data[first:last], resid, out=resid)
     resid *= resid
-    return float(np.sum(resid))
+    return np.sum(resid.reshape(-1)[start - first * d : stop - first * d])
 
 
 def fit(dataset, config: ClusteringConfig) -> ClusterModel:

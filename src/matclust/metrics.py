@@ -102,9 +102,10 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def _block_rows(height: int) -> int:
+def block_rows(height: int) -> int:
     """Points per block of a (height, points) scratch array: the core's d
-    differences, or the ranking's k values, per point."""
+    differences, the ranking's k values or outlier profiling's d residuals,
+    per point."""
     return max(1, _BLOCK_BYTES // (8 * max(1, height)))
 
 
@@ -165,7 +166,7 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """The (k, m) distances from k centers to m points given by their
-    columns, a (d, m) array; m is at most _block_rows(d). Computed in the
+    columns, a (d, m) array; m is at most block_rows(d). Computed in the
     dtype of columns and centers: float64, or float32 for the screen of
     nearest_centers.
 
@@ -243,7 +244,7 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
     """
     pts, ctr = _point_arrays(points, centers)
     out = np.empty((pts.shape[0], ctr.shape[0]))
-    step = _block_rows(ctr.shape[1])
+    step = block_rows(ctr.shape[1])
     for start in range(0, pts.shape[0], step):
         rows = slice(start, start + step)
         out[rows] = _exact(spec, pts[rows].T, ctr).T
@@ -266,7 +267,7 @@ def certificate_norms(spec: DistanceSpec, points) -> np.ndarray:
     if spec.kind in _SQUARED_FAMILY:
         return np.einsum("ij,ij->i", pts, pts)
     norms = np.empty(pts.shape[0])
-    step = _block_rows(pts.shape[1])  # no n x d temporary
+    step = block_rows(pts.shape[1])  # no n x d temporary
     for start in range(0, pts.shape[0], step):
         rows = slice(start, start + step)
         np.sum(np.abs(pts[rows]), axis=1, out=norms[rows])
@@ -430,7 +431,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
         ctr_sq = np.einsum("ij,ij->i", ctr, ctr)[:, None]
         ctr_minus2 = -2.0 * ctr
         c, slack = _squared_test(d, row_norms, ctr_sq.max())
-        step = _block_rows(k)
+        step = block_rows(k)
 
         def rank(rows: slice) -> np.ndarray:
             g = _product(ctr_minus2, columns[:, rows])
@@ -440,7 +441,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
     else:
         ctr32 = ctr.astype(np.float32)
         c, slack = _screen_test(spec, d, row_norms, np.abs(ctr).sum(axis=1).max())
-        step = _block_rows(d)
+        step = block_rows(d)
         stage = np.empty((d, min(step, n)), dtype=np.float32)  # reused per block
 
         def rank(rows: slice) -> np.ndarray:
@@ -457,7 +458,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
         # the screen's s1 and s2 are float32; the test is made in float64
         certified[rows] = (1.0 - c) * s2.astype(np.float64) - s1 > slack[rows]
     exact = np.flatnonzero(~certified)
-    step = _block_rows(d)
+    step = block_rows(d)
     for start in range(0, exact.size, step):
         rows = exact[start : start + step]
         nearest, least, _ = _two_smallest(_exact(spec, columns[:, rows], ctr))

@@ -51,7 +51,11 @@ def fit(dataset) -> FeatureStats:
 
 
 def transform(stats: FeatureStats, v) -> np.ndarray:
-    """Rescale one vector (or a matrix of row vectors) using fitted stats."""
+    """Rescale one vector (or a matrix of row vectors) using fitted stats.
+
+    The result is column-major, the layout kmeans.fit holds its data in,
+    so a fit of it makes no copy.
+    """
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape[-1] != stats.dimension:
         raise ValueError(
@@ -59,7 +63,7 @@ def transform(stats: FeatureStats, v) -> np.ndarray:
             f"stats have {stats.dimension}"
         )
     span = stats.max - stats.min
-    out = arr - stats.min
+    out = np.subtract(arr, stats.min, out=np.empty_like(arr, order="F"))
     np.divide(out, span, out=out, where=span != 0)
     out[..., span == 0] = 0.0
     return out

@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from matclust import metrics
 from matclust.evaluate import (
     EvaluationReport,
     OutlierPolicy,
@@ -170,6 +172,32 @@ class TestFlagOutliers:
         assert expected.any()
         assert np.array_equal(flags, expected)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 64, 399, 400])
+    def test_row_blocks_give_the_same_flags(self, monkeypatch, spec, rows_per_block):
+        # the own-centroid distances come one row block at a time; blocks
+        # of any size give the one-block distances and flags, bitwise
+        data = np.random.default_rng(37).random((400, 9))
+        model = fitted(data, k=5, metric=spec)
+        policies = [OutlierPolicy(kind="sigma", c=1.0), OutlierPolicy(kind="quantile", q=0.8)]
+        whole = [flag_outliers(data, model, policy) for policy in policies]
+        full = pairwise_distances(spec, data, model.centroids)
+        module = importlib.import_module("matclust.evaluate")
+        calls = []
+
+        def spy(*args):
+            calls.append(pairwise_distances(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(module, "pairwise_distances", spy)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 9 * rows_per_block)
+        for policy, expected in zip(policies, whole):
+            calls.clear()
+            assert np.array_equal(flag_outliers(data, model, policy), expected)
+            assert len(calls) == -(-400 // rows_per_block)
+            own = np.concatenate(calls)[:, 0]
+            assert own.tobytes() == full[np.arange(400), model.assignments].tobytes()
+
     def test_bad_parameters_rejected(self):
         data = np.random.default_rng(13).random((10, 2))
         model = fitted(data)
@@ -193,6 +221,26 @@ class TestFlagOutliers:
             OutlierPolicy(kind="zscore")
         with pytest.raises(ValueError, match="unknown outlier policy 'zscore'"):
             dataclasses.replace(OutlierPolicy(), kind="zscore")
+
+
+class TestMemory:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_fit_and_evaluate_allocate_less_than_the_data(self, spec):
+        # fit holds column-major data as given, and neither the SSE nor the
+        # outlier profile holds n x d residuals: numpy reports its arrays to
+        # tracemalloc, whose peak stays below one more copy of the data
+        n, d = 20_000, 25
+        data = np.asfortranarray(np.random.default_rng(41).random((n, d)))
+        config = ClusteringConfig(k=8, metric=spec, seed=1, max_iter=5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model = fit(data, config)
+            evaluate(data, model, OutlierPolicy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < data.nbytes
 
 
 class TestEvaluate:

@@ -101,6 +101,19 @@ class TestFitTransform:
         expected = np.array([[1.0 / 3.0, 1.0], [1.0, 0.0], [0.0, 2.0 / 7.0]])
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_major_output(self, order):
+        # kmeans.fit holds its data column-major: it makes no copy of this
+        data = np.asarray(np.random.default_rng(2).random((50, 4)), order=order)
+        data[:, 2] = 7.0
+        _, out = fit_transform(data)
+        assert out.flags.f_contiguous and out.shape == (50, 4)
+        span = data.max(axis=0) - data.min(axis=0)
+        expected = np.zeros_like(data)
+        live = span != 0
+        expected[:, live] = (data[:, live] - data.min(axis=0)[live]) / span[live]
+        assert out.tobytes(order="C") == expected.tobytes(order="C")
+
 
 datasets = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
