@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_count, check_seed, json_text
-from .metrics import DistanceSpec, certificate_norms, nearest_centers, pairwise_distances
+from .metrics import (
+    DistanceSpec,
+    block_rows,
+    certificate_norms,
+    nearest_centers,
+    pairwise_distances,
+)
 
 DEFAULT_SEED = 42
 
@@ -322,10 +328,12 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     data = np.asfortranarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty 2-D array")
-    finite = np.isfinite(data)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
+    step = block_rows(data.shape[1])  # no n x d temporary
+    for start in range(0, data.shape[0], step):
+        finite = np.isfinite(data[start : start + step]).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
 
     row_norms = certificate_norms(config.metric, data)
     centroids = init_centroids(data, config)

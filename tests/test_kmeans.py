@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -669,6 +670,28 @@ class TestFit:
         data[7, 2] = bad
         with pytest.raises(ValueError, match="row 7 of the dataset"):
             fit(data, ClusteringConfig(k=3))
+
+    def test_first_non_finite_row_named_across_blocks(self, monkeypatch):
+        data = np.random.default_rng(73).random((50, 4))
+        data[[12, 13, 40], [0, 3, 1]] = [np.inf, np.nan, np.nan]
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 5 * 8 * 4)  # 5-row blocks
+        with pytest.raises(ValueError, match="row 12 of the dataset"):
+            fit(data, ClusteringConfig(k=3))
+
+    def test_finiteness_check_holds_no_n_by_d_temporary(self):
+        # numpy reports its arrays to tracemalloc; an n x d bool mask would
+        # take data.size bytes, a row block of it a small share
+        data = np.asfortranarray(np.random.default_rng(73).random((40_000, 25)))
+        data[-1, -1] = np.nan
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="row 39999 of the dataset"):
+                fit(data, ClusteringConfig(k=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < data.size // 4
 
     @pytest.mark.parametrize("start", STARTS)
     @pytest.mark.parametrize(

@@ -370,7 +370,55 @@ def screen_problems(draw):
     return pts * scale, ctr * scale
 
 
+class TestTwoSmallest:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 255, 256, 300])
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_equals_a_sort(self, dtype, k, m):
+        rng = np.random.default_rng(1000 * k + m)
+        top = np.finfo(dtype).max
+        # few distinct values, so exact ties abound
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, top, np.inf], dtype=dtype)
+        values = pool[rng.integers(0, pool.size, (k, m))]
+        if m > 1:
+            values[:, 1] = values[0, 1]  # all equal
+            values[:, 2] = np.inf  # all equal and beyond the cap
+            values[:, 3] = rng.random(k)  # distinct
+            values[:, 4] = 1.0
+            values[-1, 4] = 0.0  # least only in the last row
+            values[:, 5] = 1.0
+            values[-2:-1, 5] = -0.0  # a signed-zero tie in the last two rows
+            values[-1, 5] = 0.0
+            values[rng.integers(0, k), 6] = np.nan
+            values[:, 7] = np.nan
+        nan = np.isnan(values).any(axis=0)
+        row, least, second = metrics._two_smallest(values.copy())
+        assert row.dtype == np.intp and least.dtype == second.dtype == dtype
+        assert ((row >= 0) & (row < k)).all()
+        assert np.isnan(least[nan]).all()
+        ordered = np.sort(values, axis=0)
+        runner_up = np.minimum(ordered[1], top) if k > 1 else np.full(m, top, dtype=dtype)
+        ok = ~nan
+        assert np.array_equal(row[ok], np.argmin(values, axis=0)[ok])
+        assert (least[ok] == ordered[0, ok]).all()
+        assert (second[ok] == runner_up[ok]).all()
+
+
 class TestNearestCenters:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_ties_beyond_an_eight_bit_index(self, spec):
+        # k = 300 centers of 27 grid points, the first 260 on a far grid:
+        # nearest centers fall both among the first 44 rows, whose index
+        # weights need 9 bits, and past row 255
+        rng = np.random.default_rng(12)
+        ctr = np.concatenate([rng.integers(5, 8, (260, 3)), rng.integers(0, 3, (40, 3))]) * 1.0
+        pts = np.concatenate([rng.integers(5, 8, (200, 3)), rng.integers(0, 3, (200, 3))]) * 1.0
+        dist = pairwise_distances(spec, pts, ctr)
+        expected = np.argmin(dist, axis=1)
+        assert (np.sum(dist == dist.min(axis=1, keepdims=True), axis=1) > 1).sum() >= 300
+        assert (expected < 44).any() and (expected > 255).any()
+        assert nearest_centers(spec, pts, ctr).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("spec", NEAREST_SPECS, ids=str)
     @settings(max_examples=60, deadline=None)
     @given(problem=assignment_problems())
