@@ -9,7 +9,6 @@ settings records check themselves when built, before the input is read.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .data import (
 )
 from .evaluate import OutlierPolicy, evaluate
 from .kmeans import DEFAULT_SEED, ClusteringConfig, fit
-from .metrics import DSD, MINKOWSKI, DistanceSpec, METRIC_KINDS
+from .metrics import DSD, MINKOWSKI, DistanceSpec, METRIC_KINDS, usable_cpus
 from .normalize import fit_transform
 from .sweep import (
     DEFAULT_COMPARISON_METRICS,
@@ -80,14 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--instances", type=int, nargs="+", default=list(DEFAULT_INSTANCE_SIZES)
     )
-    sweep_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sweep_p.add_argument("--jobs", type=int, default=usable_cpus())
 
     cmp_p = sub.add_parser("compare", help="compare all six metric kinds")
     add_common(cmp_p)
     cmp_p.add_argument(
         "--instances", type=int, nargs="+", default=list(DEFAULT_INSTANCE_SIZES)
     )
-    cmp_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    cmp_p.add_argument("--jobs", type=int, default=usable_cpus())
 
     return parser
 

@@ -24,8 +24,12 @@ Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and
 update_centroids takes k from the centroids it updates.
 
-Everything is seeded and single-threaded, so a given (dataset, config)
-always produces a bitwise-identical model.
+Everything is seeded. The distance passes of seeding and assignment may
+split their row blocks over the usable CPUs (see the metrics module), but
+each block writes only its own rows and every distance and label is
+bitwise the same for any split; the update step and the SSE run on the
+calling thread. So a given (dataset, config) always produces a
+bitwise-identical model, whatever the number of CPUs or sweep workers.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ therefore reflect only the metric, the parameter p, and the instance size.
 
 Cells are independent and may run in parallel; rows are ordered by plan
 position, never by completion time, so output files are byte-identical for
-any worker count. Each row holds its cell's EvaluationReport, and
+any worker count. A cell that runs on one of the sweep's workers does not
+split its distance passes over the CPUs again (metrics.run_serially). Each row holds its cell's EvaluationReport, and
 sweep.csv renders it with the same function as report.csv. A SweepPlan
 checks its settings when built, as its specs, policy and configs do, and
 rejects a repeated spec or instance size, so each cell runs once; only the
@@ -31,7 +32,7 @@ import numpy as np
 from .data import check_count, csv_text, json_text, save_report
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
 from .kmeans import DEFAULT_SEED, ClusteringConfig, check_settings, fit
-from .metrics import DSD, MINKOWSKI, DistanceSpec
+from .metrics import DSD, MINKOWSKI, DistanceSpec, run_serially
 
 # p grid and instance sizes used by default
 DEFAULT_P_GRID = (1.0, 1.2, 1.34, 1.42, 1.45, 1.5, 1.523, 1.55, 1.56, 3.0)
@@ -188,7 +189,7 @@ def run_sweep(plan: SweepPlan, points) -> SweepResult:
     data = shuffle_dataset(data, plan.seed)
     cells = [(spec, size) for spec in plan.metrics for size in plan.instance_sizes]
     if plan.jobs > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=plan.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=plan.jobs, initializer=run_serially) as pool:
             rows = list(pool.map(lambda c: _run_cell(data, plan, *c), cells))
     else:
         rows = [_run_cell(data, plan, *cell) for cell in cells]
