@@ -18,24 +18,18 @@ core itself on a float32 copy of each row block for cityblock, chebyshev
 and minkowski. Only rows that its rounding bound leaves open get the
 float64 core. Each ranked (k, m) block yields every point's nearest and
 runner-up center from a few whole-block reductions over its k rows
-(_two_smallest), with no Python loop over the centers: on 2 CPUs a
-16 x 8192 float64 block took 0.12 ms and a 16 x 5242 float32 block
-0.05 ms, against 0.41 and 0.24 ms with five elementwise calls per center
-(least of 7 repeats of 200 calls on uniform random values).
+(_two_smallest), with no Python loop over the centers.
 
-pairwise_distances and nearest_centers' ranking split an input of two or
-more row blocks into one contiguous range of whole blocks per CPU that the
-process may run on (usable_cpus). The calling thread runs the first range
-and a module-level thread pool, made on first use, the others; numpy
-releases the GIL inside each call over a block. Every block writes only
-its own rows, and the float64 core computes each distance alone, so every
-distance and label is bitwise the same for any number of ranges. A thread
-that called run_serially, as each worker of a parallel sweep does, runs
-its ranges itself. On 2 CPUs one k = 16 assignment of a normalized
-1e5 x 25 input went from about 15 to 9 ms (cityblock), 14 to 9 ms
-(chebyshev), 74 to 40 ms (minkowski 1.5) and 4 to 3 ms (dsd), and a
-pairwise_distances call against one center from 1.8-2.0 to 1.2-1.4 ms
-(medians of 9 and 31 calls in several processes).
+This module alone decides when a distance pass splits. Called on the
+main thread, pairwise_distances and nearest_centers split an input of two
+or more row blocks into one contiguous range of whole blocks per CPU that
+the process may run on (usable_cpus). The main thread runs the first
+range and a module-level thread pool the others; numpy releases the GIL
+inside each call over a block. Called on any other thread, as a sweep
+cell on one of its --jobs workers is, a pass runs whole on that thread,
+whose owner spreads its own work over the CPUs. Every block writes
+only its own rows, and the float64 core computes each distance alone, so
+every distance and label is bitwise the same for any number of ranges.
 """
 
 from __future__ import annotations
@@ -141,47 +135,27 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A thread whose `serial` is set runs its row ranges itself (run_serially).
-_thread = threading.local()
-# The pool that runs every range but a call's first, made on first use,
-# and the number of threads it may start.
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
-
-
-def run_serially() -> None:
-    """Make the calling thread, for the rest of its life, run every
-    distance pass on its own, with no split over the CPUs: for the workers
-    of a pool that already gives each CPU its own work, as run_sweep's
-    does."""
-    _thread.serial = True
-
-
-def _workers(size: int) -> ThreadPoolExecutor:
-    """The module's pool, with room for at least size ranges at once. A
-    pool that a larger one replaces finishes the ranges it holds; its
-    threads then exit."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < size:
-            _pool = ThreadPoolExecutor(max_workers=size, thread_name_prefix="matclust-rows")
-            _pool_size = size
-        return _pool
+# Runs every range of a split but the first. It starts no thread until a
+# split first submits to it; should the affinity mask grow, the extra
+# ranges queue.
+_RANGE_POOL = ThreadPoolExecutor(
+    max_workers=max(1, usable_cpus() - 1), thread_name_prefix="matclust-rows"
+)
 
 
 def _in_ranges(run, n: int, step: int) -> None:
     """Call run(start, stop) over rows 0 .. n, which form blocks of step rows.
 
-    With two or more blocks, the rows are split into one contiguous range
-    of whole blocks per usable CPU, at most one range per block. The calling
-    thread runs the first range and the module's pool the others, each
+    On the main thread, two or more blocks are split into one contiguous
+    range of whole blocks per usable CPU, at most one range per block. The
+    main thread runs the first range and _RANGE_POOL the others, each
     under the caller's numpy error state, which a thread does not inherit.
-    run must write only to its own rows, so the result is the same for any
-    split. Returns when every range is done, raising the first error.
+    Any other thread runs all n rows itself. run must write only to its
+    own rows, so the result is the same for any split. Returns when every
+    range is done, raising the error of the first range that failed.
     """
     blocks = -(-n // step)
-    serial = blocks < 2 or getattr(_thread, "serial", False)
+    serial = blocks < 2 or threading.current_thread() is not threading.main_thread()
     ranges = 1 if serial else min(blocks, usable_cpus())
     if ranges < 2:
         run(0, n)
@@ -193,8 +167,9 @@ def _in_ranges(run, n: int, step: int) -> None:
         with np.errstate(**state):
             run(start, stop)
 
-    pool = _workers(ranges - 1)
-    futures = [pool.submit(task, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])]
+    futures = [
+        _RANGE_POOL.submit(task, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])
+    ]
     try:
         run(cuts[0], cuts[1])
     finally:
@@ -521,10 +496,10 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
     axis=1). Each row block is ranked cheaply: for the euclidean,
     sqeuclidean and dsd kinds by one matrix product, -2C @ columns plus the
     squared norms; for cityblock, chebyshev and minkowski by the exact core
-    on a float32 copy of the block. The blocks are ranked in ranges, one
-    per usable CPU (_in_ranges). Only rows whose top-two gap is within
+    on a float32 copy of the block. Only rows whose top-two gap is within
     the rounding bound of _squared_test or _screen_test get the float64
-    exact core, on the calling thread. row_norms, if given, must be
+    exact core, which settles them at the end of the range of blocks that
+    ranked them (_in_ranges). row_norms, if given, must be
     certificate_norms(spec, points). Raises ValueError when a point's
     nearest distance is not finite.
     """
@@ -559,8 +534,9 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
 
     labels = np.empty(n, dtype=np.intp)
     certified = np.empty(n, dtype=bool)
+    exact_step = block_rows(d)
 
-    def certify(start: int, stop: int) -> None:
+    def settle(start: int, stop: int) -> None:
         # the screen stages each block of the range in one float32 buffer
         stage = None if spec.kind in _SQUARED_FAMILY else np.empty(
             (d, min(step, stop - start)), dtype=np.float32
@@ -570,19 +546,19 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
             labels[rows], s1, s2 = _two_smallest(rank(rows, stage))
             # the screen's s1 and s2 are float32; the test is made in float64
             certified[rows] = (1.0 - c) * s2.astype(np.float64) - s1 > slack[rows]
+        # the range's open rows, in calls of up to a block each, lowest first
+        exact = start + np.flatnonzero(~certified[start:stop])
+        for first in range(0, exact.size, exact_step):
+            rows = exact[first : first + exact_step]
+            nearest, least, _ = _two_smallest(_exact(spec, columns[:, rows], ctr))
+            bad = ~np.isfinite(least)
+            if bad.any():
+                raise ValueError(
+                    f"point {int(rows[np.argmax(bad)])} has no finite distance to any "
+                    "centroid: the distances overflow float64 (or the data is not "
+                    "finite); normalize the data"
+                )
+            labels[rows] = nearest
 
-    _in_ranges(certify, n, step)
-    exact = np.flatnonzero(~certified)
-    step = block_rows(d)
-    for start in range(0, exact.size, step):
-        rows = exact[start : start + step]
-        nearest, least, _ = _two_smallest(_exact(spec, columns[:, rows], ctr))
-        bad = ~np.isfinite(least)
-        if bad.any():
-            raise ValueError(
-                f"point {int(rows[np.argmax(bad)])} has no finite distance to any "
-                "centroid: the distances overflow float64 (or the data is not "
-                "finite); normalize the data"
-            )
-        labels[rows] = nearest
+    _in_ranges(settle, n, step)
     return labels

@@ -1,10 +1,14 @@
 """pairwise_distances and nearest_centers split inputs of two or more row
-blocks over the usable CPUs. Every result must be bitwise the same for any
-number of ranges, and a sweep that runs its cells in parallel must not
-split them again."""
+blocks over the usable CPUs, on the main thread only. Every result must be
+bitwise the same for any number of ranges, and a sweep that runs its cells
+in parallel must not split them again."""
 
 import json
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,17 +45,14 @@ def blocks(n, step):
 def pool_spy(monkeypatch):
     """The sizes of the ranges handed to the module's pool, one per submission."""
     submitted = []
-    workers = metrics._workers
+    pool = metrics._RANGE_POOL
 
     class Spy:
-        def __init__(self, pool):
-            self.pool = pool
-
         def submit(self, task, start, stop):
             submitted.append(stop - start)
-            return self.pool.submit(task, start, stop)
+            return pool.submit(task, start, stop)
 
-    monkeypatch.setattr(metrics, "_workers", lambda size: Spy(workers(size)))
+    monkeypatch.setattr(metrics, "_RANGE_POOL", Spy())
     return submitted
 
 
@@ -116,6 +117,75 @@ class TestDistancePasses:
         set_cpus(monkeypatch, cpus)
         assert nearest_centers(spec, pts, ctr).tobytes() == expected.tobytes()
         assert pool_spy
+
+    @pytest.mark.parametrize("spec", [SPECS[2], SPECS[5]], ids=str)
+    def test_open_rows_are_settled_in_their_range(self, spec, problem, monkeypatch):
+        # far from the origin the rounding bounds leave every row open, so
+        # the float64 core computes every label, in the range that ranked it
+        pts, ctr = problem
+        pts, ctr = pts + 1e8, ctr + 1e8
+        threads = []
+        exact = metrics._exact
+
+        def spied(spec, columns, centers):
+            if columns.dtype == np.float64:
+                threads.append(threading.current_thread().name)
+            return exact(spec, columns, centers)
+
+        monkeypatch.setattr(metrics, "_exact", spied)
+        set_cpus(monkeypatch, 1)
+        expected = np.argmin(pairwise_distances(spec, pts, ctr), axis=1)
+        threads.clear()
+        labels = nearest_centers(spec, pts, ctr)
+        assert labels.tobytes() == expected.tobytes()
+        assert sum(1 for name in threads if name == "MainThread") == blocks(N, block_rows(D))
+        for cpus in (2, 3):
+            set_cpus(monkeypatch, cpus)
+            threads.clear()
+            assert nearest_centers(spec, pts, ctr).tobytes() == labels.tobytes()
+            assert any(name.startswith("matclust-rows") for name in threads)
+
+    @pytest.mark.parametrize(
+        "cpus, bad", [(1, (4000, 6000, 11000)), (2, (100, 4000, 6000)), (3, (6000, 11000, 11500))]
+    )
+    def test_the_first_bad_row_is_named(self, cpus, bad, monkeypatch):
+        # Two equal centers leave every row open. The screen's three blocks
+        # form one range on 1 CPU, ranges [0, 5242) and [5242, 12000) on 2
+        # and one range per block on 3: bad rows in different blocks of a
+        # range, in different ranges, and two in one block.
+        set_cpus(monkeypatch, cpus)
+        pts = np.zeros((N, D))
+        pts[list(bad), 3] = np.nan
+        with pytest.raises(ValueError, match=f"point {bad[0]} has no finite distance"):
+            nearest_centers(DistanceSpec("cityblock"), pts, np.ones((2, D)))
+
+    def test_only_the_main_thread_splits(self, problem, monkeypatch, pool_spy):
+        pts, ctr = problem
+        set_cpus(monkeypatch, 2)
+        spec = DistanceSpec("cityblock")
+        results = {}
+
+        def passes():
+            results["labels"] = nearest_centers(spec, pts, ctr)
+            results["distances"] = pairwise_distances(spec, pts, ctr)
+
+        worker = threading.Thread(target=passes)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert pool_spy == []
+        assert nearest_centers(spec, pts, ctr).tobytes() == results["labels"].tobytes()
+        assert pairwise_distances(spec, pts, ctr).tobytes() == results["distances"].tobytes()
+        assert pool_spy
+
+    def test_importing_starts_no_thread(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = "import threading, matclust.cli; print(threading.active_count())"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
     def test_an_error_in_a_worker_is_raised(self, monkeypatch):
         set_cpus(monkeypatch, 2)
