@@ -128,13 +128,21 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
 
     # each point's distance to its own centroid, one row block at a time:
     # the core's fl(x - c) - 0 is fl(x - c), so this is bitwise the distance
-    # of x to c
+    # of x to c. The residuals take the data's layout: column-major for
+    # column-major data, as fit's and the CLI's is, so that the core reads
+    # each attribute's values contiguously; row-major for row-major data,
+    # as a sweep cell's is, which would read slowly by column.
     own = np.empty(data.shape[0])
     origin = np.zeros((1, data.shape[1]))
+    column_major = data.strides[0] < data.strides[1]
+    centroid_columns = np.ascontiguousarray(model.centroids.T)
     step = block_rows(data.shape[1])
     for start in range(0, data.shape[0], step):
         rows = slice(start, start + step)
-        resid = model.centroids[labels[rows]]
+        if column_major:
+            resid = centroid_columns.take(labels[rows], axis=1).T
+        else:
+            resid = model.centroids[labels[rows]]
         np.subtract(data[rows], resid, out=resid)
         own[rows] = pairwise_distances(model.metric, resid, origin)[:, 0]
     for j in range(model.centroids.shape[0]):

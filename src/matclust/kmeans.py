@@ -16,7 +16,7 @@ is column-major already, as normalize.transform returns it, is not
 copied. fit computes the row norms of assign's certificate once: |x|^2
 for the euclidean family, the l1 norm for the other kinds. The SSE adds
 the squared residuals in the order np.sum adds the row-major n x d
-residuals, but computes them a 256 KB leaf at a time. Every step gives
+residuals, but computes them a 512 KB leaf at a time. Every step gives
 bitwise the same result for data in any layout, and none holds an n x d
 float64 temporary.
 
@@ -24,12 +24,15 @@ Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and
 update_centroids takes k from the centroids it updates.
 
-Everything is seeded. The distance passes of seeding and assignment split
-their row blocks over the usable CPUs when fit runs on the main thread,
-and run whole on any other thread (see the metrics module), but each
-block writes only its own rows and every distance and label is bitwise
-the same for any split; the update step and the SSE run on the thread
-that called fit. So a given (dataset, config) always produces a
+Everything is seeded. When fit runs on the main thread, every pass over
+data of two or more row blocks splits over the usable CPUs, and on any
+other thread it runs whole (metrics.in_ranges). The distance passes of
+seeding and assignment split by rows, and each block writes only its own
+rows. The update step splits its per-column sums by column, and each
+column is summed in point order whatever the split. The SSE splits at the
+top nodes of its pairwise-summation tree and adds their sums back up the
+same tree. So every distance, label, centroid and SSE is bitwise the same
+for any split, and a given (dataset, config) always produces a
 bitwise-identical model, whatever the number of CPUs or sweep workers.
 """
 
@@ -44,6 +47,7 @@ from .metrics import (
     DistanceSpec,
     block_rows,
     certificate_norms,
+    in_ranges,
     nearest_centers,
     pairwise_distances,
 )
@@ -248,9 +252,15 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
     # so the sums are bitwise the same; an overflow gives inf without a
     # warning, which the Lloyd loop's SSE check rejects
     cluster = labels.astype(np.intp)
-    sums = np.empty((k, data.shape[1]))
-    for t, column in enumerate(columns):
-        sums[:, t] = np.bincount(cluster, weights=column, minlength=k)
+    n, d = data.shape
+    sums = np.empty((k, d))
+
+    def add(first: int, last: int) -> None:
+        for t in range(first, last):
+            sums[:, t] = np.bincount(cluster, weights=columns[t], minlength=k)
+
+    # the pass splits by the data's row blocks, each range taking whole columns
+    in_ranges(add, n, block_rows(d), cut=lambda ranges: _even_cuts(d, ranges))
     counts = np.bincount(cluster, minlength=k)
 
     centroids = np.empty_like(sums)
@@ -269,10 +279,17 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
     return centroids
 
 
-# The SSE's leaves: flat ranges of at most this many residuals (256 KB),
+def _even_cuts(count: int, ranges: int) -> list[int]:
+    """The bounds of min(ranges, count) near-equal ranges of count items,
+    or of one empty range when count is 0."""
+    parts = max(1, min(ranges, count))
+    return [count * i // parts for i in range(parts + 1)]
+
+
+# The SSE's leaves: flat ranges of at most this many residuals (512 KB),
 # each squared in one small buffer and summed by np.sum. At 128 or more,
 # every range split into leaves is one that numpy's pairwise sum splits.
-_SSE_LEAF = 1 << 15
+_SSE_LEAF = 1 << 16
 
 
 def sse(dataset, centroids, assignments) -> float:
@@ -280,7 +297,10 @@ def sse(dataset, centroids, assignments) -> float:
 
     Always squared Euclidean, regardless of the metric used to fit. For
     data in any layout, bitwise np.sum((X - C[labels])**2) over row-major
-    residuals, but without holding them: see _residual_sum.
+    residuals, but without holding them: see _residual_sum. A pass over
+    two or more row blocks splits at the top nodes of that sum's tree
+    (_tree_cuts), one node per range, and adds the nodes' sums back up the
+    same tree.
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
@@ -288,17 +308,50 @@ def sse(dataset, centroids, assignments) -> float:
     labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
     if data.size == 0:
         return 0.0
-    rows = np.empty((min(data.shape[0], _SSE_LEAF // data.shape[1] + 2), data.shape[1]))
-    return float(_residual_sum(data, ctr, labels, 0, data.size, rows))
+    n, d = data.shape
+
+    def node_sum(start: int, stop: int) -> float:
+        rows = np.empty((min(n, _SSE_LEAF // d + 2), d))
+        return _residual_sum(data, ctr, labels, start, stop, rows)
+
+    sums = in_ranges(
+        node_sum, n, block_rows(d), cut=lambda ranges: _tree_cuts(0, data.size, ranges)
+    )
+    return float(_tree_fold(sums))
+
+
+def _pairwise_half(size: int) -> int:
+    """Where numpy's pairwise summation splits a range of more than 128
+    terms: after its first half, rounded down to a multiple of 8."""
+    return size // 2 - size // 2 % 8
+
+
+def _tree_cuts(start: int, stop: int, parts: int) -> list[int]:
+    """The bounds of parts consecutive nodes of the pairwise-summation tree
+    of the terms start .. stop - 1, which together cover them: the range is
+    halved as np.sum halves it, the first half taking the larger share of
+    parts. Every range halved must hold more than 128 terms, which a
+    range of at least one row block per part does."""
+    if parts == 1:
+        return [start, stop]
+    mid = start + _pairwise_half(stop - start)
+    return _tree_cuts(start, mid, -(-parts // 2))[:-1] + _tree_cuts(mid, stop, parts // 2)
+
+
+def _tree_fold(sums: list):
+    """The sum of the nodes that _tree_cuts gave, added back up its tree."""
+    if len(sums) == 1:
+        return sums[0]
+    half = -(-len(sums) // 2)
+    return _tree_fold(sums[:half]) + _tree_fold(sums[half:])
 
 
 def _residual_sum(data, ctr, labels, start: int, stop: int, rows: np.ndarray) -> float:
     """The sum of the squared residuals start .. stop - 1 of the row-major
     n x d residuals data - ctr[labels], in the order np.sum adds them.
 
-    np.sum adds a contiguous range by numpy's pairwise summation: a range of
-    more than 128 terms is split after its first half rounded down to a
-    multiple of 8, and the sums of the two parts are added. This function
+    np.sum adds a contiguous range by numpy's pairwise summation
+    (_pairwise_half), adding the sums of the two parts. This function
     splits the same way until a part fits _SSE_LEAF, computes the rows that
     part touches into rows (a buffer of _SSE_LEAF // d + 2 of them), and
     leaves that part's sum to np.sum over the same terms; np.sum adds it to
@@ -308,7 +361,7 @@ def _residual_sum(data, ctr, labels, start: int, stop: int, rows: np.ndarray) ->
     """
     size = stop - start
     if size > _SSE_LEAF:
-        half = size // 2 - size // 2 % 8
+        half = _pairwise_half(size)
         head = _residual_sum(data, ctr, labels, start, start + half, rows)
         return head + _residual_sum(data, ctr, labels, start + half, stop, rows)
     d = data.shape[1]

@@ -20,16 +20,19 @@ float64 core. Each ranked (k, m) block yields every point's nearest and
 runner-up center from a few whole-block reductions over its k rows
 (_two_smallest), with no Python loop over the centers.
 
-This module alone decides when a distance pass splits. Called on the
-main thread, pairwise_distances and nearest_centers split an input of two
-or more row blocks into one contiguous range of whole blocks per CPU that
-the process may run on (usable_cpus). The main thread runs the first
-range and a module-level thread pool the others; numpy releases the GIL
-inside each call over a block. Called on any other thread, as a sweep
-cell on one of its --jobs workers is, a pass runs whole on that thread,
-whose owner spreads its own work over the CPUs. Every block writes
-only its own rows, and the float64 core computes each distance alone, so
-every distance and label is bitwise the same for any number of ranges.
+This module alone decides when a pass splits (in_ranges). Called on the
+main thread, a pass over an input of two or more row blocks splits into
+one range per CPU that the process may run on (usable_cpus), at most one
+per block. The main thread runs the first range and a module-level
+thread pool the others; numpy releases the GIL inside each call over a
+block. pairwise_distances and nearest_centers split into contiguous
+ranges of whole blocks; kmeans' SSE and centroid update and normalize's
+transform use the same decision but cut their own work (tree nodes,
+columns, rows). Called on any other thread, as a sweep cell on one of its
+--jobs workers is, a pass runs whole on that thread, whose owner spreads
+its own work over the CPUs. Every block writes only its own rows, and the
+float64 core computes each distance alone, so every distance and label is
+bitwise the same for any number of ranges.
 """
 
 from __future__ import annotations
@@ -143,39 +146,44 @@ _RANGE_POOL = ThreadPoolExecutor(
 )
 
 
-def _in_ranges(run, n: int, step: int) -> None:
-    """Call run(start, stop) over rows 0 .. n, which form blocks of step rows.
+def in_ranges(run, n: int, step: int, cut=None) -> list:
+    """Call run(start, stop) over the ranges of a pass over n rows, which
+    form blocks of step rows, and return its results in range order.
 
-    On the main thread, two or more blocks are split into one contiguous
-    range of whole blocks per usable CPU, at most one range per block. The
-    main thread runs the first range and _RANGE_POOL the others, each
-    under the caller's numpy error state, which a thread does not inherit.
-    Any other thread runs all n rows itself. run must write only to its
-    own rows, so the result is the same for any split. Returns when every
-    range is done, raising the error of the first range that failed.
+    On the main thread, two or more blocks are split into one range per
+    usable CPU, at most one range per block: contiguous ranges of whole
+    blocks, or the len(cut(ranges)) - 1 ranges between the bounds that
+    cut(ranges) returns, in whatever units run takes (cut(1) covers the
+    whole pass). The main thread runs the first range and _RANGE_POOL the
+    others, each under the caller's numpy error state, which a thread does
+    not inherit. Any other thread runs the whole pass itself. run must
+    write only to its own range's part of any shared output, so the result
+    is the same for any split. Returns when every range is done, raising
+    the error of the first range that failed.
     """
     blocks = -(-n // step)
     serial = blocks < 2 or threading.current_thread() is not threading.main_thread()
     ranges = 1 if serial else min(blocks, usable_cpus())
-    if ranges < 2:
-        run(0, n)
-        return
-    cuts = [min(n, blocks * i // ranges * step) for i in range(ranges + 1)]
+    if cut is None:
+        cuts = [min(n, blocks * i // ranges * step) for i in range(ranges + 1)]
+    else:
+        cuts = cut(ranges)
+    if len(cuts) < 3:
+        return [run(cuts[0], cuts[-1])]
     state = np.geterr()
 
-    def task(start: int, stop: int) -> None:
+    def task(start: int, stop: int):
         with np.errstate(**state):
-            run(start, stop)
+            return run(start, stop)
 
     futures = [
         _RANGE_POOL.submit(task, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])
     ]
     try:
-        run(cuts[0], cuts[1])
+        first = run(cuts[0], cuts[1])
     finally:
         wait(futures)
-    for future in futures:
-        future.result()
+    return [first, *(future.result() for future in futures)]
 
 
 # BLAS calls stay small: a product of k rows of d values with the columns
@@ -327,7 +335,7 @@ def pairwise_distances(spec: DistanceSpec, points, centers) -> np.ndarray:
             rows = slice(begin, begin + step)
             out[rows] = _exact(spec, pts[rows].T, ctr).T
 
-    _in_ranges(fill, pts.shape[0], step)
+    in_ranges(fill, pts.shape[0], step)
     return out
 
 
@@ -499,7 +507,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
     on a float32 copy of the block. Only rows whose top-two gap is within
     the rounding bound of _squared_test or _screen_test get the float64
     exact core, which settles them at the end of the range of blocks that
-    ranked them (_in_ranges). row_norms, if given, must be
+    ranked them (in_ranges). row_norms, if given, must be
     certificate_norms(spec, points). Raises ValueError when a point's
     nearest distance is not finite.
     """
@@ -560,5 +568,5 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
                 )
             labels[rows] = nearest
 
-    _in_ranges(settle, n, step)
+    in_ranges(settle, n, step)
     return labels

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import json_text
+from .metrics import block_rows, in_ranges
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ def transform(stats: FeatureStats, v) -> np.ndarray:
     """Rescale one vector (or a matrix of row vectors) using fitted stats.
 
     The result is column-major, the layout kmeans.fit holds its data in,
-    so a fit of it makes no copy.
+    so a fit of it makes no copy. A matrix of two or more row blocks is
+    scaled in ranges of rows (metrics.in_ranges), each value on its own.
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape[-1] != stats.dimension:
@@ -63,9 +65,17 @@ def transform(stats: FeatureStats, v) -> np.ndarray:
             f"stats have {stats.dimension}"
         )
     span = stats.max - stats.min
-    out = np.subtract(arr, stats.min, out=np.empty_like(arr, order="F"))
-    np.divide(out, span, out=out, where=span != 0)
-    out[..., span == 0] = 0.0
+    flat = span == 0
+    out = np.empty_like(arr, order="F")
+    points, scaled = np.atleast_2d(arr, out)  # a vector as one point
+
+    def scale(start: int, stop: int) -> None:
+        part = scaled[start:stop]
+        np.subtract(points[start:stop], stats.min, out=part)
+        np.divide(part, span, out=part, where=~flat)
+        part[..., flat] = 0.0
+
+    in_ranges(scale, points.shape[0], block_rows(stats.dimension))
     return out
 
 

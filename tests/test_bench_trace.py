@@ -3,7 +3,10 @@ the names each module binds them under; a traced command that records no
 pairwise_distances time fails. These bindings must keep resolving."""
 
 import importlib.util
+import threading
 from pathlib import Path
+
+from matclust import metrics
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -83,3 +86,44 @@ def test_traced_sweep_and_compare_count_every_cell(tmp_path, monkeypatch):
     assert layers["evaluate.evaluate_s"] > 0
     assert layers["evaluate.distance_evals"] > 0
     assert problems == []
+
+
+def test_split_passes_open_every_span_on_the_main_thread(tmp_path, monkeypatch):
+    # bench/traced.py keeps one span stack, so a wrapped function entered
+    # from a range's pool thread would corrupt it. 12000 x 25 is three row
+    # blocks, so at 2 CPUs every pass of this fit and its evaluation splits.
+    traced, tracer, cli, _ = instrumented(monkeypatch)
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 2)
+    ranges = []
+    pool = metrics._RANGE_POOL
+
+    class Spy:
+        def submit(self, task, start, stop):
+            ranges.append(stop - start)
+            return pool.submit(task, start, stop)
+
+    monkeypatch.setattr(metrics, "_RANGE_POOL", Spy())
+    opened = []
+    open_span = traced.Tracer.open
+
+    def spied_open(self, name, **attrs):
+        opened.append((name, threading.current_thread() is threading.main_thread()))
+        return open_span(self, name, **attrs)
+
+    monkeypatch.setattr(traced.Tracer, "open", spied_open)
+    data = tmp_path / "mat.csv"
+    argv = ["gen", "--classes", "3", "--dims", "25", "--count", "12000", "-o", str(data)]
+    assert cli.main(argv) == 0
+    for metric in ("cityblock", "dsd"):
+        argv = ["fit", "-i", str(data), "-o", str(tmp_path / metric), "--k", "4",
+                "--metric", metric, "--max-iter", "3"]
+        assert cli.main(argv + (["--p", "1.523"] if metric == "dsd" else [])) == 0
+
+    assert ranges
+    assert [name for name, main in opened if not main] == []
+    names = {name for name, _ in opened}
+    assert {"normalize.fit_transform", "kmeans.update_centroids", "kmeans.sse",
+            "evaluate.evaluate", "metrics.pairwise_distances"} <= names
+    layers, problems = traced.layer_metrics(tracer.spans)
+    assert problems == []
+    assert layers["evaluate.distance_evals"] == 2 * 12000

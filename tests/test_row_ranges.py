@@ -1,21 +1,24 @@
-"""pairwise_distances and nearest_centers split inputs of two or more row
-blocks over the usable CPUs, on the main thread only. Every result must be
-bitwise the same for any number of ranges, and a sweep that runs its cells
-in parallel must not split them again."""
+"""pairwise_distances, nearest_centers, the SSE, the centroid update and
+normalization split inputs of two or more row blocks over the usable CPUs,
+on the main thread only. Every result must be bitwise the same for any
+number of ranges, and a sweep that runs its cells in parallel must not split
+them again."""
 
 import json
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_kmeans import layouts
 
-from matclust import cli, metrics
-from matclust.evaluate import OutlierPolicy
-from matclust.kmeans import ClusteringConfig, fit
+from matclust import cli, kmeans, metrics, normalize
+from matclust.evaluate import OutlierPolicy, flag_outliers
+from matclust.kmeans import ClusterModel, ClusteringConfig, fit, sse, update_centroids
 from matclust.metrics import DistanceSpec, block_rows, nearest_centers, pairwise_distances
 from matclust.sweep import SweepPlan, run_sweep
 
@@ -213,6 +216,97 @@ def test_fit_is_the_same_for_any_number_of_ranges(spec, problem, monkeypatch, po
     assert many.sse_per_iter == one.sse_per_iter and many.converged == one.converged
 
 
+class TestOtherPasses:
+    """sse, update_centroids and normalize.transform split like the
+    distance passes; flag_outliers hands pairwise_distances one block at a
+    time, which never splits."""
+
+    @staticmethod
+    def case(n):
+        """Terms over 32 orders of magnitude, so that another order of
+        addition would change the SSE; cluster K - 1 is empty and re-seeded."""
+        rng = np.random.default_rng(24)
+        data = rng.standard_normal((n, D)) * 10.0 ** rng.integers(-8, 8, (n, D))
+        data[:, 3] = 7.0  # a constant attribute, which normalizes to 0
+        ctr = data[:K] + 0.5
+        labels = rng.integers(0, K - 1, n)
+        model = ClusterModel(ctr, labels, False, DistanceSpec("cityblock"), 0, (1.0,))
+        return data, ctr, labels, model
+
+    @staticmethod
+    def passes(data, ctr, labels, model):
+        """Each pass's result, as bytes."""
+        results = {}
+        for name, run in (
+            ("sse", lambda: np.float64(sse(data, ctr, labels))),
+            ("update", lambda: update_centroids(data, labels, ctr, model.metric)),
+            ("outliers", lambda: flag_outliers(data, model, OutlierPolicy(kind="sigma", c=1.0))),
+            ("normalize", lambda: normalize.transform(normalize.fit(data), data)),
+        ):
+            results[name] = run().tobytes()
+        return results
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_same_bits_for_any_number_of_ranges_and_layout(self, cpus, monkeypatch, pool_spy):
+        # 12001 x 25 is three blocks, and the SSE's top cut, after term
+        # 150008, falls inside row 6000. Terms 150008 .. 150011, which a cut
+        # at half of the 300025 terms would put in the first half, are large.
+        n = 12_001
+        assert kmeans._tree_cuts(0, n * D, 2)[1] == 6000 * D + 8
+        data, ctr, labels, model = self.case(n)
+        data[6000, 8:12] = 1e8
+        set_cpus(monkeypatch, 1)
+        expected = self.passes(data, ctr, labels, model)
+        assert expected["sse"] == np.float64(np.sum((data - ctr[labels]) ** 2)).tobytes()
+        set_cpus(monkeypatch, cpus)
+        for view in layouts(data):
+            pool_spy.clear()
+            assert self.passes(view, ctr, labels, model) == expected
+            # sse, update and normalize split into min(3, cpus) ranges each;
+            # so does update's re-seed of cluster K - 1
+            assert len(pool_spy) == 4 * (min(blocks(n, block_rows(D)), cpus) - 1)
+
+    @pytest.mark.parametrize("n", [5097, block_rows(D)])
+    def test_one_block_never_splits(self, n, monkeypatch, pool_spy):
+        set_cpus(monkeypatch, 4)
+        data, *rest = self.case(n)
+        for view in layouts(data):
+            self.passes(view, *rest)
+        assert pool_spy == []
+
+    def test_only_the_main_thread_splits(self, monkeypatch, pool_spy):
+        data, ctr, labels, model = self.case(N)
+        set_cpus(monkeypatch, 2)
+        results = {}
+        worker = threading.Thread(target=lambda: results.update(self.passes(data, ctr, labels, model)))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert pool_spy == []
+        assert self.passes(data, ctr, labels, model) == results
+        assert pool_spy
+
+    def test_sse_overflow_rejected_without_warning_when_split(self, monkeypatch, pool_spy):
+        # fit ignores the SSE's overflow and rejects its inf; a range on a
+        # pool thread must run under that error state too
+        data = np.random.default_rng(5).random((N, D)) * 1e200
+        config = ClusteringConfig(k=3, metric=DistanceSpec("cityblock"), initial_centroids=data[:3])
+        set_cpus(monkeypatch, 2)
+        squared = []
+        residual_sum = kmeans._residual_sum
+
+        def spied(*args):
+            squared.append(threading.current_thread().name)
+            return residual_sum(*args)
+
+        monkeypatch.setattr(kmeans, "_residual_sum", spied)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the SSE overflows float64; normalize the data"):
+                fit(data, config)
+        assert any(name.startswith("matclust-rows") for name in squared)
+
+
 def outputs(folder):
     """Every output file's bytes but the manifest's, which names the folder;
     sweep.json without its wall times."""
@@ -233,7 +327,7 @@ def test_cli_outputs_byte_identical(tmp_path, monkeypatch, pool_spy):
     data = tmp_path / "mat.csv"
     assert cli.main(["gen", "--classes", "4", "--dims", str(D), "--count", str(N), "-o", str(data)]) == 0
     runs = {}
-    for cpus, jobs in ((1, "1"), (2, "1"), (2, "2")):
+    for cpus, jobs in ((1, "1"), (2, "1"), (3, "1"), (2, "2")):
         set_cpus(monkeypatch, cpus)
         base = tmp_path / f"cpus{cpus}-jobs{jobs}"
         fit_args = ["fit", "-i", str(data), "-o", str(base / "fit"), "--metric", "cityblock"]
@@ -242,7 +336,7 @@ def test_cli_outputs_byte_identical(tmp_path, monkeypatch, pool_spy):
                          "--max-iter", "3", "--instances", "6000", str(N), "--jobs", jobs]) == 0
         runs[cpus, jobs] = (outputs(base / "fit"), outputs(base / "compare"))
     assert pool_spy
-    assert runs[1, "1"] == runs[2, "1"] == runs[2, "2"]
+    assert runs[1, "1"] == runs[2, "1"] == runs[3, "1"] == runs[2, "2"]
     assert sorted(runs[1, "1"][1]) == ["fig4.csv", "fig5.csv", "stats.json", "sweep.csv", "sweep.json"]
 
 
