@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import csv_text, json_text
-from .kmeans import ClusterModel
+from .kmeans import ClusterModel, _check_centroids
 from .metrics import block_rows, pairwise_distances
 
 POLICY_NONE = "none"
@@ -114,7 +114,12 @@ def table_csv(k: int, reports) -> str:
 
 
 def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.ndarray:
-    """Boolean flag per point; True marks a point excluded as an outlier."""
+    """Boolean flag per point; True marks a point excluded as an outlier.
+
+    Raises ValueError for a dataset of another length or width than the
+    model's, and, unless the policy is none, for a point whose distance to
+    its own centroid is not finite.
+    """
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(model.assignments)
     if data.shape[0] != labels.shape[0]:
@@ -122,6 +127,7 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
             f"the dataset has {data.shape[0]} rows but the model assigns "
             f"{labels.shape[0]} points"
         )
+    _check_centroids(data, model.centroids)
     flags = np.zeros(data.shape[0], dtype=bool)
     if policy.kind == POLICY_NONE:
         return flags
@@ -137,14 +143,23 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     column_major = data.strides[0] < data.strides[1]
     centroid_columns = np.ascontiguousarray(model.centroids.T)
     step = block_rows(data.shape[1])
-    for start in range(0, data.shape[0], step):
-        rows = slice(start, start + step)
-        if column_major:
-            resid = centroid_columns.take(labels[rows], axis=1).T
-        else:
-            resid = model.centroids[labels[rows]]
-        np.subtract(data[rows], resid, out=resid)
-        own[rows] = pairwise_distances(model.metric, resid, origin)[:, 0]
+    # a distance that is not finite, or the overflow that led to it, is
+    # rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, data.shape[0], step):
+            rows = slice(start, start + step)
+            if column_major:
+                resid = centroid_columns.take(labels[rows], axis=1).T
+            else:
+                resid = model.centroids[labels[rows]]
+            np.subtract(data[rows], resid, out=resid)
+            own[rows] = pairwise_distances(model.metric, resid, origin)[:, 0]
+    bad = ~np.isfinite(own)
+    if bad.any():
+        raise ValueError(
+            f"point {int(np.argmax(bad))} has no finite distance to its centroid: "
+            "the data is not finite, or the distance overflows float64; normalize the data"
+        )
     for j in range(model.centroids.shape[0]):
         members = labels == j
         if not members.any():

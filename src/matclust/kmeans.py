@@ -28,9 +28,10 @@ Everything is seeded. When fit runs on the main thread, every pass over
 data of two or more row blocks splits over the usable CPUs, and on any
 other thread it runs whole (metrics.in_ranges). The distance passes of
 seeding and assignment split by rows, and each block writes only its own
-rows. The update step splits its per-column sums by column, and each
-column is summed in point order whatever the split. The SSE splits at the
-top nodes of its pairwise-summation tree and adds their sums back up the
+rows. The update step splits its per-column sums into metrics.even_cuts
+of the columns, and each column is summed in point order whatever the
+split. The SSE splits at the top nodes of its pairwise-summation tree,
+halved where metrics.pairwise_half says, and adds their sums back up the
 same tree. So every distance, label, centroid and SSE is bitwise the same
 for any split, and a given (dataset, config) always produces a
 bitwise-identical model, whatever the number of CPUs or sweep workers.
@@ -47,9 +48,11 @@ from .metrics import (
     DistanceSpec,
     block_rows,
     certificate_norms,
+    even_cuts,
     in_ranges,
     nearest_centers,
     pairwise_distances,
+    pairwise_half,
 )
 
 DEFAULT_SEED = 42
@@ -260,7 +263,7 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
             sums[:, t] = np.bincount(cluster, weights=columns[t], minlength=k)
 
     # the pass splits by the data's row blocks, each range taking whole columns
-    in_ranges(add, n, block_rows(d), cut=lambda ranges: _even_cuts(d, ranges))
+    in_ranges(add, n, block_rows(d), cut=lambda ranges: even_cuts(d, ranges))
     counts = np.bincount(cluster, minlength=k)
 
     centroids = np.empty_like(sums)
@@ -277,13 +280,6 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
                 )
             centroids[j] = data[int(np.argmax(d[:, 0]))]
     return centroids
-
-
-def _even_cuts(count: int, ranges: int) -> list[int]:
-    """The bounds of min(ranges, count) near-equal ranges of count items,
-    or of one empty range when count is 0."""
-    parts = max(1, min(ranges, count))
-    return [count * i // parts for i in range(parts + 1)]
 
 
 # The SSE's leaves: flat ranges of at most this many residuals (512 KB),
@@ -320,12 +316,6 @@ def sse(dataset, centroids, assignments) -> float:
     return float(_tree_fold(sums))
 
 
-def _pairwise_half(size: int) -> int:
-    """Where numpy's pairwise summation splits a range of more than 128
-    terms: after its first half, rounded down to a multiple of 8."""
-    return size // 2 - size // 2 % 8
-
-
 def _tree_cuts(start: int, stop: int, parts: int) -> list[int]:
     """The bounds of parts consecutive nodes of the pairwise-summation tree
     of the terms start .. stop - 1, which together cover them: the range is
@@ -334,7 +324,7 @@ def _tree_cuts(start: int, stop: int, parts: int) -> list[int]:
     range of at least one row block per part does."""
     if parts == 1:
         return [start, stop]
-    mid = start + _pairwise_half(stop - start)
+    mid = start + pairwise_half(stop - start)
     return _tree_cuts(start, mid, -(-parts // 2))[:-1] + _tree_cuts(mid, stop, parts // 2)
 
 
@@ -351,7 +341,7 @@ def _residual_sum(data, ctr, labels, start: int, stop: int, rows: np.ndarray) ->
     n x d residuals data - ctr[labels], in the order np.sum adds them.
 
     np.sum adds a contiguous range by numpy's pairwise summation
-    (_pairwise_half), adding the sums of the two parts. This function
+    (pairwise_half), adding the sums of the two parts. This function
     splits the same way until a part fits _SSE_LEAF, computes the rows that
     part touches into rows (a buffer of _SSE_LEAF // d + 2 of them), and
     leaves that part's sum to np.sum over the same terms; np.sum adds it to
@@ -361,7 +351,7 @@ def _residual_sum(data, ctr, labels, start: int, stop: int, rows: np.ndarray) ->
     """
     size = stop - start
     if size > _SSE_LEAF:
-        half = _pairwise_half(size)
+        half = pairwise_half(size)
         head = _residual_sum(data, ctr, labels, start, start + half, rows)
         return head + _residual_sum(data, ctr, labels, start + half, stop, rows)
     d = data.shape[1]

@@ -25,10 +25,11 @@ main thread, a pass over an input of two or more row blocks splits into
 one range per CPU that the process may run on (usable_cpus), at most one
 per block. The main thread runs the first range and a module-level
 thread pool the others; numpy releases the GIL inside each call over a
-block. pairwise_distances and nearest_centers split into contiguous
-ranges of whole blocks; kmeans' SSE and centroid update and normalize's
-transform use the same decision but cut their own work (tree nodes,
-columns, rows). Called on any other thread, as a sweep cell on one of its
+block. pairwise_distances, nearest_centers and normalize's transform
+split into even_cuts of the blocks; kmeans' SSE and centroid update make
+the same decision but cut their own work: the SSE at nodes of numpy's
+pairwise-summation tree (pairwise_half), the update into even_cuts of the
+columns. Called on any other thread, as a sweep cell on one of its
 --jobs workers is, a pass runs whole on that thread, whose owner spreads
 its own work over the CPUs. Every block writes only its own rows, and the
 float64 core computes each distance alone, so every distance and label is
@@ -146,12 +147,19 @@ _RANGE_POOL = ThreadPoolExecutor(
 )
 
 
+def even_cuts(count: int, ranges: int) -> list[int]:
+    """The bounds of min(ranges, count) near-equal ranges of count items,
+    or of one empty range when count is 0."""
+    parts = max(1, min(ranges, count))
+    return [count * i // parts for i in range(parts + 1)]
+
+
 def in_ranges(run, n: int, step: int, cut=None) -> list:
     """Call run(start, stop) over the ranges of a pass over n rows, which
     form blocks of step rows, and return its results in range order.
 
     On the main thread, two or more blocks are split into one range per
-    usable CPU, at most one range per block: contiguous ranges of whole
+    usable CPU, at most one range per block: even_cuts of the whole
     blocks, or the len(cut(ranges)) - 1 ranges between the bounds that
     cut(ranges) returns, in whatever units run takes (cut(1) covers the
     whole pass). The main thread runs the first range and _RANGE_POOL the
@@ -165,7 +173,7 @@ def in_ranges(run, n: int, step: int, cut=None) -> list:
     serial = blocks < 2 or threading.current_thread() is not threading.main_thread()
     ranges = 1 if serial else min(blocks, usable_cpus())
     if cut is None:
-        cuts = [min(n, blocks * i // ranges * step) for i in range(ranges + 1)]
+        cuts = [min(n, c * step) for c in even_cuts(blocks, ranges)]
     else:
         cuts = cut(ranges)
     if len(cuts) < 3:
@@ -206,6 +214,12 @@ def _product(left: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def pairwise_half(size: int) -> int:
+    """Where numpy's pairwise summation splits a range of more than 128
+    terms: after its first half, rounded down to a multiple of 8."""
+    return size // 2 - size // 2 % 8
+
+
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """The sums of the columns of a (d, m) array of non-negative terms,
     computed in place in a's rows; returns the row that holds them.
@@ -215,15 +229,15 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     summation: below 8 terms one after another; up to 128 terms in eight
     running sums s_r of the terms r, r + 8, ..., combined as
     ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the last d mod 8
-    terms one after another; above 128 terms, the sums of the two halves
-    split at a multiple of 8 below d/2, added. np.sum adds this to 0.0,
+    terms one after another; above 128 terms, the sums of the two parts
+    that pairwise_half splits d into, added. np.sum adds this to 0.0,
     which changes no sum of non-negative terms. So every distance is
     bitwise the broadcast formula's; the tests check the order against
     np.sum for every d from 1 to 300.
     """
     d = a.shape[0]
     if d > 128:
-        half = d // 2 - d // 2 % 8
+        half = pairwise_half(d)
         head = _row_sum(a[:half])
         head += _row_sum(a[half:])
         return head
@@ -524,7 +538,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
         c, slack = _squared_test(d, row_norms, ctr_sq.max())
         step = block_rows(k)
 
-        def rank(rows: slice, stage: np.ndarray | None) -> np.ndarray:
+        def rank(rows: slice) -> np.ndarray:
             g = _product(ctr_minus2, columns[:, rows])
             g += row_norms[rows]
             g += ctr_sq
@@ -534,24 +548,17 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
         c, slack = _screen_test(spec, d, row_norms, np.abs(ctr).sum(axis=1).max())
         step = block_rows(d)
 
-        def rank(rows: slice, stage: np.ndarray | None) -> np.ndarray:
-            block = columns[:, rows]
-            staged = stage[:, : block.shape[1]]
-            np.copyto(staged, block, casting="same_kind")
-            return _exact(spec, staged, ctr32)
+        def rank(rows: slice) -> np.ndarray:
+            return _exact(spec, columns[:, rows].astype(np.float32), ctr32)
 
     labels = np.empty(n, dtype=np.intp)
     certified = np.empty(n, dtype=bool)
     exact_step = block_rows(d)
 
     def settle(start: int, stop: int) -> None:
-        # the screen stages each block of the range in one float32 buffer
-        stage = None if spec.kind in _SQUARED_FAMILY else np.empty(
-            (d, min(step, stop - start)), dtype=np.float32
-        )
         for begin in range(start, stop, step):
             rows = slice(begin, begin + step)
-            labels[rows], s1, s2 = _two_smallest(rank(rows, stage))
+            labels[rows], s1, s2 = _two_smallest(rank(rows))
             # the screen's s1 and s2 are float32; the test is made in float64
             certified[rows] = (1.0 - c) * s2.astype(np.float64) - s1 > slack[rows]
         # the range's open rows, in calls of up to a block each, lowest first

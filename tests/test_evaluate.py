@@ -290,6 +290,28 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=match):
                 run(rng.random((rows, 2)), model, OutlierPolicy(kind=kind))
 
+    @pytest.mark.parametrize("width", [3, 5])
+    @pytest.mark.parametrize("kind", ["none", "sigma", "quantile"])
+    def test_dataset_of_another_width_rejected(self, width, kind):
+        rng = np.random.default_rng(37)
+        model = fitted(rng.random((50, 4)), k=2)
+        match = rf"do not fit data of shape \(50, {width}\)"
+        for run in (evaluate, flag_outliers):
+            with pytest.raises(ValueError, match=match):
+                run(rng.random((50, width)), model, OutlierPolicy(kind=kind))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["sigma", "quantile"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_point_without_a_finite_distance_rejected(self, value, kind, spec):
+        data = np.random.default_rng(41).random((50, 4))
+        model = fitted(data, k=2, metric=spec)
+        data[17, 2] = value
+        match = "point 17 has no finite distance to its centroid"
+        for run in (evaluate, flag_outliers):
+            with pytest.raises(ValueError, match=match):
+                run(data, model, OutlierPolicy(kind=kind))
+
 
 class TestReportDerivation:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)

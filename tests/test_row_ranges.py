@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -147,6 +148,24 @@ class TestDistancePasses:
             threads.clear()
             assert nearest_centers(spec, pts, ctr).tobytes() == labels.tobytes()
             assert any(name.startswith("matclust-rows") for name in threads)
+
+    @pytest.mark.parametrize("spec", SPECS[2:5], ids=str)
+    def test_the_screen_holds_no_float32_copy_of_the_data(self, spec, monkeypatch):
+        # the screen casts one block per range at a time: numpy reports its
+        # arrays to tracemalloc, whose peak stays below a float32 copy of
+        # the points (9.5 MB here)
+        n, k = 100_000, 16
+        pts = np.asfortranarray(np.random.default_rng(25).random((n, D)))
+        ctr = pts[:k].copy()
+        set_cpus(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nearest_centers(spec, pts, ctr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < pts.size * np.dtype(np.float32).itemsize
 
     @pytest.mark.parametrize(
         "cpus, bad", [(1, (4000, 6000, 11000)), (2, (100, 4000, 6000)), (3, (6000, 11000, 11500))]
