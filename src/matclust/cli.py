@@ -105,11 +105,11 @@ def _manifest(args, extra: dict) -> dict:
 
 
 def _load_normalized(args) -> tuple[np.ndarray, object]:
-    """The input's points, min-max normalized unless --no-normalize, and
-    their stats (None when not normalized)."""
+    """The input's points, column-major and min-max normalized unless
+    --no-normalize, and their stats (None when not normalized)."""
     points = load_csv(args.input).points
     if args.no_normalize:
-        return points, None
+        return np.asfortranarray(points), None
     stats, normalized = fit_transform(points)
     return normalized, stats
 

@@ -11,6 +11,9 @@ before any point can be counted as an outlier. The rule is configurable:
 * ``quantile`` — flag points strictly above the per-cluster q-quantile
   distance.
 
+The distances to own centroids come one row block of residuals at a time,
+built column by column: column-major data, as fit holds it, reads fastest.
+
 Cluster accuracy % and outlier % are exact complements: accuracy is
 100 * clustered / total and the outlier share is the remainder. An
 EvaluationReport stores only the per-cluster counts and the total, and
@@ -132,15 +135,10 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     if policy.kind == POLICY_NONE:
         return flags
 
-    # each point's distance to its own centroid, one row block at a time:
-    # the core's fl(x - c) - 0 is fl(x - c), so this is bitwise the distance
-    # of x to c. The residuals take the data's layout: column-major for
-    # column-major data, as fit's and the CLI's is, so that the core reads
-    # each attribute's values contiguously; row-major for row-major data,
-    # as a sweep cell's is, which would read slowly by column.
+    # each point's distance to its own centroid, from its residual: the
+    # core's fl(x - c) - 0 is fl(x - c), so this is bitwise that distance
     own = np.empty(data.shape[0])
     origin = np.zeros((1, data.shape[1]))
-    column_major = data.strides[0] < data.strides[1]
     centroid_columns = np.ascontiguousarray(model.centroids.T)
     step = block_rows(data.shape[1])
     # a distance that is not finite, or the overflow that led to it, is
@@ -148,10 +146,7 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, data.shape[0], step):
             rows = slice(start, start + step)
-            if column_major:
-                resid = centroid_columns.take(labels[rows], axis=1).T
-            else:
-                resid = model.centroids[labels[rows]]
+            resid = centroid_columns.take(labels[rows], axis=1).T
             np.subtract(data[rows], resid, out=resid)
             own[rows] = pairwise_distances(model.metric, resid, origin)[:, 0]
     bad = ~np.isfinite(own)

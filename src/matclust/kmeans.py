@@ -12,11 +12,12 @@ centroid and folds in the n exact distances to each new centroid with
 np.minimum; it needs every exact distance, so it has no ranking. fit
 holds the data column-major, so each attribute's values are contiguous
 for the metrics module's exact core and for the centroid sums; data that
-is column-major already, as normalize.transform returns it, is not
-copied. fit computes the row norms of assign's certificate once: |x|^2
-for the euclidean family, the l1 norm for the other kinds. The SSE adds
-the squared residuals in the order np.sum adds the row-major n x d
-residuals, but computes them a 512 KB leaf at a time. Every step gives
+is column-major already, as normalize.transform, the CLI and each sweep
+cell hand it over, is not copied. fit computes the row norms of assign's
+certificate once: |x|^2 for the euclidean family, the l1 norm for the
+other kinds. The SSE adds the squared residuals in the order np.sum adds
+the row-major n x d residuals, but computes them a 512 KB leaf at a
+time. Every step gives
 bitwise the same result for data in any layout, and none holds an n x d
 float64 temporary.
 

@@ -288,10 +288,11 @@ def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.n
             np.max(diff, axis=0, out=out[j])
         elif kind == MINKOWSKI:
             # Scale by the per-point max so |d|^p cannot over/underflow for
-            # large p. A point whose max is 0 has all +0.0 terms already,
-            # and **= takes the same scalar-exponent path as **.
+            # large p. A point whose max is 0 has all +0.0 terms, which stay
+            # +0.0, and **= takes the same scalar-exponent path as **.
             top = np.max(diff, axis=0)
-            np.divide(diff, top, out=diff, where=top > 0)
+            tiny = np.finfo(diff.dtype).smallest_subnormal
+            np.divide(diff, np.maximum(top, tiny), out=diff)
             p = float(spec.p)
             diff **= p
             np.multiply(top, np.power(fold(diff), 1.0 / p), out=out[j])

@@ -39,7 +39,8 @@ def fit(dataset) -> FeatureStats:
         raise ValueError(f"expected a 2-D dataset, got shape {data.shape}")
     if data.shape[0] == 0:
         raise ValueError("cannot fit normalization stats on an empty dataset")
-    lo, hi = data.min(axis=0), data.max(axis=0)
+    # + 0.0 makes a zero extreme +0.0 whatever the layout or SIMD path
+    lo, hi = data.min(axis=0) + 0.0, data.max(axis=0) + 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         wide = ~np.isfinite(hi - lo)
     if wide.any():

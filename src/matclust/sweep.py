@@ -5,7 +5,9 @@ of dsd specs only is a p-sweep (Fig. 3), any other a metric comparison
 
 Instance subsets are deterministic prefixes of the dataset after one seeded
 shuffle at load time (recorded in the result), so the size-1000 instance is
-literally the first 1000 rows of the size-2000 instance. Every cell reuses
+literally the first 1000 rows of the size-2000 instance. Each cell copies
+its prefix column-major once, within its timed span, and hands that one
+array to fit, which copies nothing, and to evaluate. Every cell reuses
 the same base seed and k-means++ seeding; differences between cells
 therefore reflect only the metric, the parameter p, and the instance size.
 
@@ -15,10 +17,9 @@ any worker count. A cell that runs on one of the sweep's workers does not
 split its distance passes over the CPUs again: the metrics module splits
 a pass only on the main thread. Each row holds its cell's
 EvaluationReport, and sweep.csv renders it with the same function as
-report.csv. A SweepPlan
-checks its settings when built, as its specs, policy and configs do, and
-rejects a repeated spec or instance size, so each cell runs once; only the
-largest instance size waits for the data.
+report.csv. A SweepPlan checks its settings when built, as its specs,
+policy and configs do, and rejects a repeated spec or instance size, so
+each cell runs once; only the largest instance size waits for the data.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def shuffle_dataset(points, seed: int) -> np.ndarray:
 
 
 def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) -> SweepRow:
-    subset = data[:size]
     config = ClusteringConfig(k=plan.k, metric=spec, seed=plan.seed, max_iter=plan.max_iter)
     start = time.perf_counter()
+    subset = np.asfortranarray(data[:size])
     model = fit(subset, config)
     report = evaluate(subset, model, plan.policy)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from matclust import cli, sweep
 from matclust.cli import main
+from matclust.evaluate import evaluate
+from matclust.kmeans import fit
 
 
 @pytest.fixture()
@@ -131,6 +134,25 @@ class TestFit:
         assert rc == 0
         assert not (out / "stats.json").exists()
 
+    def test_fit_and_evaluate_get_one_column_major_array(self, dataset_csv, tmp_path, monkeypatch):
+        # kmeans.fit copies nothing, and outlier profiling reads by column
+        handed = []
+
+        def spy(real):
+            def call(points, *rest):
+                handed.append(points)
+                return real(points, *rest)
+            return call
+
+        monkeypatch.setattr(cli, "fit", spy(fit))
+        monkeypatch.setattr(cli, "evaluate", spy(evaluate))
+        for flags in ([], ["--no-normalize"]):
+            handed.clear()
+            out = tmp_path / f"run{len(flags)}"
+            assert main(["fit", "-i", str(dataset_csv), "-o", str(out), *flags]) == 0
+            assert len(handed) == 2 and handed[0] is handed[1]
+            assert handed[0].flags.f_contiguous and handed[0].dtype == np.float64
+
 
 class TestSweep:
     def test_one_by_one_plan(self, dataset_csv, tmp_path):
@@ -217,6 +239,34 @@ class TestSweepJson:
         assert "p_values" not in doc["plan"]
         assert doc["plan"]["init"] == "kmeans-plus-plus"
         assert [[row["metric"], row["p"]] for row in doc["rows"]] == grid
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_each_cell_fits_and_evaluates_one_column_major_array(
+    dataset_csv, tmp_path, monkeypatch, command, jobs
+):
+    fitted = {}  # the model of each cell's fit and the array it was handed
+    handed = []  # the arrays of each evaluation and of the fit of its model
+
+    def fit_spy(points, config):
+        model = fit(points, config)
+        fitted[id(model)] = (model, points)
+        return model
+
+    def evaluate_spy(points, model, policy):
+        handed.append((points, fitted[id(model)][1]))
+        return evaluate(points, model, policy)
+
+    monkeypatch.setattr(sweep, "fit", fit_spy)
+    monkeypatch.setattr(sweep, "evaluate", evaluate_spy)
+    out = tmp_path / "run"
+    assert main([command, "-i", str(dataset_csv), "-o", str(out), "--instances", "100", "300",
+                 "--jobs", jobs]) == 0
+    assert len(handed) == len(fitted) == 2 * (6 if command == "compare" else 10)
+    for evaluated, fit_on in handed:
+        assert evaluated is fit_on
+        assert evaluated.flags.f_contiguous and evaluated.shape[1] == 6
 
 
 def _reject_constant(name):

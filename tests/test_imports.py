@@ -7,9 +7,15 @@ attribute chain such as ``np.asarray`` starts with the name ``np``).
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
+
+import matclust
+import matclust.evaluate as bound_evaluate  # binds the package attribute
+from matclust.evaluate import OutlierPolicy
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "matclust"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -35,3 +41,13 @@ def test_checker_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_evaluate_is_the_function_and_the_submodule_stays_importable():
+    # the package re-exports the function evaluate under its submodule's
+    # name; `from matclust.evaluate import ...` still reads the module
+    module = importlib.import_module("matclust.evaluate")
+    assert sys.modules["matclust.evaluate"] is module
+    assert matclust.evaluate is module.evaluate
+    assert bound_evaluate is module.evaluate
+    assert OutlierPolicy is module.OutlierPolicy

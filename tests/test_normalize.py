@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matclust.normalize import FeatureStats, fit, fit_transform, transform
+from test_kmeans import layouts
 
 
 class TestFit:
@@ -47,6 +48,22 @@ class TestFit:
         for call in (fit, fit_transform):
             with pytest.raises(ValueError, match=message + " is not a finite float64"):
                 call(np.array(data))
+
+    def test_zero_extremes_are_positive_in_any_layout(self):
+        # which zero numpy's min and max keep among -0.0 and +0.0 depends on
+        # the layout and, for column-major data, on the SIMD path
+        rng = np.random.default_rng(5)
+        for _ in range(75):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            data = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, d), p=[0.4, 0.4, 0.1, 0.1])
+            stats = [fit(view) for view in layouts(data)]
+            for s in stats:
+                assert s.min.tobytes() == stats[0].min.tobytes()
+                assert s.max.tobytes() == stats[0].max.tobytes()
+                for extreme in (s.min, s.max):
+                    assert not np.signbit(extreme[extreme == 0]).any()
+            assert np.array_equal(stats[0].min, data.min(axis=0))
+            assert np.array_equal(stats[0].max, data.max(axis=0))
 
 
 class TestTransform:
