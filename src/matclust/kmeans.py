@@ -15,11 +15,10 @@ for the metrics module's exact core and for the centroid sums; data that
 is column-major already, as normalize.transform, the CLI and each sweep
 cell hand it over, is not copied. fit computes the row norms of assign's
 certificate once: |x|^2 for the euclidean family, the l1 norm for the
-other kinds. The SSE adds the squared residuals in the order np.sum adds
-the row-major n x d residuals, but computes them a 512 KB leaf at a
-time. Every step gives
-bitwise the same result for data in any layout, and none holds an n x d
-float64 temporary.
+other kinds. The SSE is the sum of each point's squared distance to its
+centroid, computed a row block at a time. Every step gives bitwise the
+same result for data in any layout, and none holds an n x d float64
+temporary.
 
 Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and
@@ -31,10 +30,10 @@ other thread it runs whole (metrics.in_ranges). The distance passes of
 seeding and assignment split by rows, and each block writes only its own
 rows. The update step splits its per-column sums into metrics.even_cuts
 of the columns, and each column is summed in point order whatever the
-split. The SSE splits at the top nodes of its pairwise-summation tree,
-halved where metrics.pairwise_half says, and adds their sums back up the
-same tree. So every distance, label, centroid and SSE is bitwise the same
-for any split, and a given (dataset, config) always produces a
+split. The SSE splits by rows: each range computes its points' squared
+distances on their own, and the calling thread adds the n of them. So
+every distance, label, centroid and SSE is bitwise the same for any
+split, and a given (dataset, config) always produces a
 bitwise-identical model, whatever the number of CPUs or sweep workers.
 """
 
@@ -47,13 +46,13 @@ import numpy as np
 from .data import check_count, check_seed, json_text
 from .metrics import (
     DistanceSpec,
+    _row_sum,
     block_rows,
     certificate_norms,
     even_cuts,
     in_ranges,
     nearest_centers,
     pairwise_distances,
-    pairwise_half,
 )
 
 DEFAULT_SEED = 42
@@ -283,21 +282,16 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
     return centroids
 
 
-# The SSE's leaves: flat ranges of at most this many residuals (512 KB),
-# each squared in one small buffer and summed by np.sum. At 128 or more,
-# every range split into leaves is one that numpy's pairwise sum splits.
-_SSE_LEAF = 1 << 16
-
-
 def sse(dataset, centroids, assignments) -> float:
     """Sum of squared Euclidean errors between points and their centroids.
 
-    Always squared Euclidean, regardless of the metric used to fit. For
-    data in any layout, bitwise np.sum((X - C[labels])**2) over row-major
-    residuals, but without holding them: see _residual_sum. A pass over
-    two or more row blocks splits at the top nodes of that sum's tree
-    (_tree_cuts), one node per range, and adds the nodes' sums back up the
-    same tree.
+    Always squared Euclidean, regardless of the metric used to fit. Each
+    point's squared distance to its centroid is folded on its own by
+    metrics._row_sum, and np.sum adds the n of them once. So for data in
+    any layout and any split of its rows, the SSE is bitwise
+    np.sum(np.sum((X - C[labels])**2, axis=1)) over row-major X, and
+    np.sum of the core's own sqeuclidean distances to each point's
+    centroid.
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
@@ -305,64 +299,24 @@ def sse(dataset, centroids, assignments) -> float:
     labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
     if data.size == 0:
         return 0.0
-    n, d = data.shape
+    (n, d), step = data.shape, block_rows(data.shape[1])
+    columns, center_columns = data.T, np.ascontiguousarray(ctr.T)
+    squared = np.empty(n)
 
-    def node_sum(start: int, stop: int) -> float:
-        rows = np.empty((min(n, _SSE_LEAF // d + 2), d))
-        return _residual_sum(data, ctr, labels, start, stop, rows)
+    def add(start: int, stop: int) -> None:
+        # one contiguous buffer per range; each block's residuals fill its head
+        buffer = np.empty(d * min(step, stop - start))
+        for begin in range(start, stop, step):
+            rows = slice(begin, min(begin + step, stop))
+            resid = buffer[: d * (rows.stop - begin)].reshape(d, -1)
+            # labels are checked to lie in [0, k), so clip only skips take's buffer
+            center_columns.take(labels[rows], axis=1, out=resid, mode="clip")
+            np.subtract(resid, columns[:, rows], out=resid)
+            resid *= resid
+            squared[rows] = _row_sum(resid)
 
-    sums = in_ranges(
-        node_sum, n, block_rows(d), cut=lambda ranges: _tree_cuts(0, data.size, ranges)
-    )
-    return float(_tree_fold(sums))
-
-
-def _tree_cuts(start: int, stop: int, parts: int) -> list[int]:
-    """The bounds of parts consecutive nodes of the pairwise-summation tree
-    of the terms start .. stop - 1, which together cover them: the range is
-    halved as np.sum halves it, the first half taking the larger share of
-    parts. Every range halved must hold more than 128 terms, which a
-    range of at least one row block per part does."""
-    if parts == 1:
-        return [start, stop]
-    mid = start + pairwise_half(stop - start)
-    return _tree_cuts(start, mid, -(-parts // 2))[:-1] + _tree_cuts(mid, stop, parts // 2)
-
-
-def _tree_fold(sums: list):
-    """The sum of the nodes that _tree_cuts gave, added back up its tree."""
-    if len(sums) == 1:
-        return sums[0]
-    half = -(-len(sums) // 2)
-    return _tree_fold(sums[:half]) + _tree_fold(sums[half:])
-
-
-def _residual_sum(data, ctr, labels, start: int, stop: int, rows: np.ndarray) -> float:
-    """The sum of the squared residuals start .. stop - 1 of the row-major
-    n x d residuals data - ctr[labels], in the order np.sum adds them.
-
-    np.sum adds a contiguous range by numpy's pairwise summation
-    (pairwise_half), adding the sums of the two parts. This function
-    splits the same way until a part fits _SSE_LEAF, computes the rows that
-    part touches into rows (a buffer of _SSE_LEAF // d + 2 of them), and
-    leaves that part's sum to np.sum over the same terms; np.sum adds it to
-    0.0, which changes no sum of squares. It is a module-level function, not
-    a closure that calls itself, which would form a reference cycle and keep
-    the data alive until the garbage collector ran.
-    """
-    size = stop - start
-    if size > _SSE_LEAF:
-        half = pairwise_half(size)
-        head = _residual_sum(data, ctr, labels, start, start + half, rows)
-        return head + _residual_sum(data, ctr, labels, start + half, stop, rows)
-    d = data.shape[1]
-    first, last = start // d, -(-stop // d)
-    resid = rows[: last - first]
-    # labels are checked to lie in [0, k), so clip only skips take's buffer
-    ctr.take(labels[first:last], axis=0, out=resid, mode="clip")
-    np.subtract(data[first:last], resid, out=resid)
-    resid *= resid
-    return np.sum(resid.reshape(-1)[start - first * d : stop - first * d])
+    in_ranges(add, n, step)
+    return float(np.sum(squared))
 
 
 def fit(dataset, config: ClusteringConfig) -> ClusterModel:

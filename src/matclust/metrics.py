@@ -25,13 +25,12 @@ main thread, a pass over an input of two or more row blocks splits into
 one range per CPU that the process may run on (usable_cpus), at most one
 per block. The main thread runs the first range and a module-level
 thread pool the others; numpy releases the GIL inside each call over a
-block. pairwise_distances, nearest_centers and normalize's transform
-split into even_cuts of the blocks; kmeans' SSE and centroid update make
-the same decision but cut their own work: the SSE at nodes of numpy's
-pairwise-summation tree (pairwise_half), the update into even_cuts of the
-columns. Called on any other thread, as a sweep cell on one of its
---jobs workers is, a pass runs whole on that thread, whose owner spreads
-its own work over the CPUs. Every block writes only its own rows, and the
+block. pairwise_distances, nearest_centers, normalize's transform and
+kmeans' SSE split into even_cuts of the blocks; kmeans' centroid update
+makes the same decision but cuts its columns into even_cuts. Called on
+any other thread, as a sweep cell on one of its --jobs workers is, a
+pass runs whole on that thread, whose owner spreads its own work over
+the CPUs. Every block writes only its own rows, and the
 float64 core computes each distance alone, so every distance and label is
 bitwise the same for any number of ranges.
 """
@@ -214,12 +213,6 @@ def _product(left: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_half(size: int) -> int:
-    """Where numpy's pairwise summation splits a range of more than 128
-    terms: after its first half, rounded down to a multiple of 8."""
-    return size // 2 - size // 2 % 8
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """The sums of the columns of a (d, m) array of non-negative terms,
     computed in place in a's rows; returns the row that holds them.
@@ -229,15 +222,15 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     summation: below 8 terms one after another; up to 128 terms in eight
     running sums s_r of the terms r, r + 8, ..., combined as
     ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the last d mod 8
-    terms one after another; above 128 terms, the sums of the two parts
-    that pairwise_half splits d into, added. np.sum adds this to 0.0,
+    terms one after another; above 128 terms, the sums of its first half,
+    rounded down to a multiple of 8 terms, and of the rest, added. np.sum adds this to 0.0,
     which changes no sum of non-negative terms. So every distance is
     bitwise the broadcast formula's; the tests check the order against
     np.sum for every d from 1 to 300.
     """
     d = a.shape[0]
     if d > 128:
-        half = pairwise_half(d)
+        half = d // 2 - d // 2 % 8
         head = _row_sum(a[:half])
         head += _row_sum(a[half:])
         return head

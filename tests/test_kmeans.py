@@ -91,7 +91,7 @@ def reference_fit(data: np.ndarray, config: ClusteringConfig):
                 far = pairwise_distances(config.metric, data, centroids[j : j + 1])[:, 0]
                 new_centroids[j] = data[np.argmax(far)]
         centroids = new_centroids
-        history.append(float(np.sum((data - centroids[labels]) ** 2)))
+        history.append(float(np.sum(np.sum((data - centroids[labels]) ** 2, axis=1))))
     if converged and (np.bincount(labels, minlength=config.k) == 0).any():
         raise ValueError("are empty at convergence")
     return centroids, labels, history, converged
@@ -417,14 +417,15 @@ class TestSse:
         assert sse(BLOBS_1D, [[0.5], [9.5]], [0, 0, 1, 1]) == 1.0
 
     @staticmethod
-    def assert_np_sum_bits(data, k=5, seed=0):
-        """sse is bitwise np.sum of the squared row-major residuals, for data
-        row-major, column-major and strided; the terms span 32 orders of
-        magnitude, so another order of addition would change the sum."""
+    def assert_row_sum_bits(data, k=5, seed=0):
+        """sse is bitwise np.sum of the row sums of the squared row-major
+        residuals, for data row-major, column-major and strided; the terms
+        span 32 orders of magnitude, so another order of addition would
+        change the sum."""
         rng = np.random.default_rng(seed)
         ctr = rng.standard_normal((k, data.shape[1]))
         labels = rng.integers(0, k, data.shape[0])
-        expected = float(np.sum((np.ascontiguousarray(data) - ctr[labels]) ** 2))
+        expected = float(np.sum(np.sum((np.ascontiguousarray(data) - ctr[labels]) ** 2, axis=1)))
         for view in layouts(data):
             assert sse(view, ctr, labels) == expected, (data.shape, view.strides)
 
@@ -433,23 +434,15 @@ class TestSse:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, (n, d))
 
+    # n = blocks * block_rows(d) + extra: one or two rows, and n just below,
+    # at and above one, two and three row blocks, so that the last block is
+    # full, short or of one row
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, -1), (2, 1), (3, 1)]
+    )
     @pytest.mark.parametrize("d", [1, 7, 300])
-    def test_bitwise_np_sum_around_a_leaf(self, d):
-        # n * d just below, at and above one leaf, two leaves and at
-        # multiples of 8 plus or minus 1 past them
-        leaf = kmeans._SSE_LEAF
-        for size in (leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf + 1, 3 * leaf + 8 * 13 + 1,
-                     5 * leaf - 8 * 3 - 1, 8 * 4099, 8 * 4099 + 1, 8 * 4099 - 1):
-            self.assert_np_sum_bits(self.spread(-(-size // d), d))
-
-    @pytest.mark.parametrize("leaf", [128, 129, 300, 1000, 4096])
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 300), (2, 300), (1000, 1), (999, 7), (437, 25)])
-    def test_bitwise_np_sum_for_any_leaf(self, monkeypatch, leaf, shape):
-        # leaves that split rows, fall on 8-term boundaries or not, and
-        # leaves larger than the data; a leaf of 128 terms or more splits a
-        # range only where numpy's pairwise sum does
-        monkeypatch.setattr(kmeans, "_SSE_LEAF", leaf)
-        self.assert_np_sum_bits(self.spread(*shape))
+    def test_bitwise_row_sums_around_a_block(self, d, blocks, extra):
+        self.assert_row_sum_bits(self.spread(blocks * metrics.block_rows(d) + extra, d))
 
     def test_empty_data_sums_to_zero(self):
         assert sse(np.zeros((0, 3)), np.zeros((1, 3)), np.zeros(0, dtype=int)) == 0.0

@@ -267,16 +267,15 @@ class TestOtherPasses:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_same_bits_for_any_number_of_ranges_and_layout(self, cpus, monkeypatch, pool_spy):
-        # 12001 x 25 is three blocks, and the SSE's top cut, after term
-        # 150008, falls inside row 6000. Terms 150008 .. 150011, which a cut
-        # at half of the 300025 terms would put in the first half, are large.
+        # 12001 x 25 is three blocks; row 6000, in the middle one, has
+        # large terms next to terms 32 orders of magnitude smaller
         n = 12_001
-        assert kmeans._tree_cuts(0, n * D, 2)[1] == 6000 * D + 8
         data, ctr, labels, model = self.case(n)
         data[6000, 8:12] = 1e8
         set_cpus(monkeypatch, 1)
         expected = self.passes(data, ctr, labels, model)
-        assert expected["sse"] == np.float64(np.sum((data - ctr[labels]) ** 2)).tobytes()
+        squared = np.sum((data - ctr[labels]) ** 2, axis=1)
+        assert expected["sse"] == np.float64(np.sum(squared)).tobytes()
         set_cpus(monkeypatch, cpus)
         for view in layouts(data):
             pool_spy.clear()
@@ -305,6 +304,25 @@ class TestOtherPasses:
         assert self.passes(data, ctr, labels, model) == results
         assert pool_spy
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 7, 25, 300])
+    def test_sse_adds_each_points_sqeuclidean_distance(self, d, cpus, monkeypatch, pool_spy):
+        # three blocks and a row; the terms span 32 orders of magnitude, so
+        # another order of addition would change the sum
+        n = 3 * block_rows(d) + 1
+        rng = np.random.default_rng(d)
+        data = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, (n, d))
+        ctr = rng.standard_normal((5, d))
+        labels = rng.integers(0, 5, n)
+        distances = pairwise_distances(DistanceSpec("sqeuclidean"), data, ctr)
+        expected = np.sum(distances[np.arange(n), labels])
+        assert expected == np.sum(np.sum((data - ctr[labels]) ** 2, axis=1))
+        set_cpus(monkeypatch, cpus)
+        for view in layouts(data):
+            pool_spy.clear()
+            assert sse(view, ctr, labels) == expected, view.strides
+            assert len(pool_spy) == cpus - 1
+
     def test_sse_overflow_rejected_without_warning_when_split(self, monkeypatch, pool_spy):
         # fit ignores the SSE's overflow and rejects its inf; a range on a
         # pool thread must run under that error state too
@@ -312,13 +330,13 @@ class TestOtherPasses:
         config = ClusteringConfig(k=3, metric=DistanceSpec("cityblock"), initial_centroids=data[:3])
         set_cpus(monkeypatch, 2)
         squared = []
-        residual_sum = kmeans._residual_sum
+        row_sum = kmeans._row_sum
 
         def spied(*args):
             squared.append(threading.current_thread().name)
-            return residual_sum(*args)
+            return row_sum(*args)
 
-        monkeypatch.setattr(kmeans, "_residual_sum", spied)
+        monkeypatch.setattr(kmeans, "_row_sum", spied)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="the SSE overflows float64; normalize the data"):
