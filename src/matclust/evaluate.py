@@ -11,8 +11,11 @@ before any point can be counted as an outlier. The rule is configurable:
 * ``quantile`` — flag points strictly above the per-cluster q-quantile
   distance.
 
-The distances to own centroids come one row block of residuals at a time,
-built column by column: column-major data, as fit holds it, reads fastest.
+The distances to own centroids come from the residuals x - c of
+kmeans.residual_blocks, the pass that the SSE uses too, one row block at a
+time on the calling thread: each block goes to pairwise_distances as
+points against the origin. Column-major data, as fit holds it, reads
+fastest.
 
 Cluster accuracy % and outlier % are exact complements: accuracy is
 100 * clustered / total and the outlier share is the remainder. An
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import csv_text, json_text
-from .kmeans import ClusterModel, _check_centroids
-from .metrics import block_rows, pairwise_distances
+from .kmeans import ClusterModel, _check_centroids, residual_blocks
+from .metrics import pairwise_distances
 
 POLICY_NONE = "none"
 POLICY_SIGMA = "sigma"
@@ -139,16 +142,11 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     # core's fl(x - c) - 0 is fl(x - c), so this is bitwise that distance
     own = np.empty(data.shape[0])
     origin = np.zeros((1, data.shape[1]))
-    centroid_columns = np.ascontiguousarray(model.centroids.T)
-    step = block_rows(data.shape[1])
     # a distance that is not finite, or the overflow that led to it, is
     # rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, data.shape[0], step):
-            rows = slice(start, start + step)
-            resid = centroid_columns.take(labels[rows], axis=1).T
-            np.subtract(data[rows], resid, out=resid)
-            own[rows] = pairwise_distances(model.metric, resid, origin)[:, 0]
+        for rows, resid in residual_blocks(data, model.centroids, labels, 0, data.shape[0]):
+            own[rows] = pairwise_distances(model.metric, resid.T, origin)[:, 0]
     bad = ~np.isfinite(own)
     if bad.any():
         raise ValueError(

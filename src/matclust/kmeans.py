@@ -15,10 +15,14 @@ for the metrics module's exact core and for the centroid sums; data that
 is column-major already, as normalize.transform, the CLI and each sweep
 cell hand it over, is not copied. fit computes the row norms of assign's
 certificate once: |x|^2 for the euclidean family, the l1 norm for the
-other kinds. The SSE is the sum of each point's squared distance to its
-centroid, computed a row block at a time. Every step gives bitwise the
-same result for data in any layout, and none holds an n x d float64
-temporary.
+other kinds. The residuals x - c of each point and its centroid come
+from one pass, residual_blocks, a row block at a time: the SSE is the sum
+of their squares, and evaluate's outlier profile takes each point's
+distance to its own centroid from them. Every step gives bitwise the same
+result for data in any layout. Row-major data costs one column-major
+copy in fit, and one per call in assign when called on its own;
+seeding, the update step and the SSE read the data as given. No step
+holds any other n x d float64 temporary.
 
 Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and
@@ -249,18 +253,18 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
     _check_centroids(data, prev)
     k = prev.shape[0]
     labels = _check_assignments(assignments, data.shape[0], k)
-    columns = np.asfortranarray(data).T
 
     # each bin adds its points in index order from 0.0, as np.add.at does,
     # so the sums are bitwise the same; an overflow gives inf without a
-    # warning, which the Lloyd loop's SSE check rejects
+    # warning, which the Lloyd loop's SSE check rejects. A column of
+    # row-major data is copied on its own, never the whole data.
     cluster = labels.astype(np.intp)
     n, d = data.shape
     sums = np.empty((k, d))
 
     def add(first: int, last: int) -> None:
         for t in range(first, last):
-            sums[:, t] = np.bincount(cluster, weights=columns[t], minlength=k)
+            sums[:, t] = np.bincount(cluster, weights=data[:, t], minlength=k)
 
     # the pass splits by the data's row blocks, each range taking whole columns
     in_ranges(add, n, block_rows(d), cut=lambda ranges: even_cuts(d, ranges))
@@ -272,26 +276,51 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
             centroids[j] = sums[j] / counts[j]
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                d = pairwise_distances(metric, data, prev[j : j + 1])
-            if not np.isfinite(d).all():
+                far = pairwise_distances(metric, data, prev[j : j + 1])[:, 0]
+            if not np.isfinite(far).all():
                 raise ValueError(
                     f"empty cluster {j} cannot be re-seeded: the distances to "
                     "its former centroid overflow float64; normalize the data"
                 )
-            centroids[j] = data[int(np.argmax(d[:, 0]))]
+            centroids[j] = data[int(np.argmax(far))]
     return centroids
+
+
+def residual_blocks(data: np.ndarray, centroids, labels, start: int, stop: int):
+    """Yield (rows, x - c) for each row block of rows [start, stop) of the
+    2-D float64 data, in order: rows is a slice, and x - c a (d, m) array
+    whose column i is row rows.start + i of the data minus its centroid,
+    centroids[labels[rows.start + i]]. Every block but the last has
+    metrics.block_rows(d) rows.
+
+    The blocks share one contiguous buffer per call, which the next block
+    overwrites. Each column is filled with its centroid and the data's
+    column subtracted in place, which reads the data in any layout with no
+    n x d copy. labels must lie in [0, k): out-of-range labels are clipped,
+    not rejected. fl(x - c) = -fl(c - x), so any function of |x - c| is
+    bitwise the same as from c - x.
+    """
+    d, step = data.shape[1], block_rows(data.shape[1])
+    columns, centroid_columns = data.T, np.ascontiguousarray(centroids.T, dtype=np.float64)
+    buffer = np.empty(d * min(step, stop - start))
+    for begin in range(start, stop, step):
+        rows = slice(begin, min(begin + step, stop))
+        resid = buffer[: d * (rows.stop - begin)].reshape(d, -1)
+        # clip only skips take's bounds check, and with it a buffer of its own
+        centroid_columns.take(labels[rows], axis=1, out=resid, mode="clip")
+        yield rows, np.subtract(columns[:, rows], resid, out=resid)
 
 
 def sse(dataset, centroids, assignments) -> float:
     """Sum of squared Euclidean errors between points and their centroids.
 
     Always squared Euclidean, regardless of the metric used to fit. Each
-    point's squared distance to its centroid is folded on its own by
-    metrics._row_sum, and np.sum adds the n of them once. So for data in
-    any layout and any split of its rows, the SSE is bitwise
-    np.sum(np.sum((X - C[labels])**2, axis=1)) over row-major X, and
-    np.sum of the core's own sqeuclidean distances to each point's
-    centroid.
+    point's squared distance to its centroid is folded on its own from its
+    residual (residual_blocks) by metrics._row_sum, and np.sum adds the n
+    of them once. So for data in any layout and any split of its rows, the
+    SSE is bitwise np.sum(np.sum((X - C[labels])**2, axis=1)) over
+    row-major X, and np.sum of the core's own sqeuclidean distances to each
+    point's centroid.
     """
     data = np.asarray(dataset, dtype=np.float64)
     ctr = np.asarray(centroids, dtype=np.float64)
@@ -299,23 +328,14 @@ def sse(dataset, centroids, assignments) -> float:
     labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
     if data.size == 0:
         return 0.0
-    (n, d), step = data.shape, block_rows(data.shape[1])
-    columns, center_columns = data.T, np.ascontiguousarray(ctr.T)
-    squared = np.empty(n)
+    squared = np.empty(data.shape[0])
 
     def add(start: int, stop: int) -> None:
-        # one contiguous buffer per range; each block's residuals fill its head
-        buffer = np.empty(d * min(step, stop - start))
-        for begin in range(start, stop, step):
-            rows = slice(begin, min(begin + step, stop))
-            resid = buffer[: d * (rows.stop - begin)].reshape(d, -1)
-            # labels are checked to lie in [0, k), so clip only skips take's buffer
-            center_columns.take(labels[rows], axis=1, out=resid, mode="clip")
-            np.subtract(resid, columns[:, rows], out=resid)
+        for rows, resid in residual_blocks(data, ctr, labels, start, stop):
             resid *= resid
             squared[rows] = _row_sum(resid)
 
-    in_ranges(add, n, step)
+    in_ranges(add, data.shape[0], block_rows(data.shape[1]))
     return float(np.sum(squared))
 
 

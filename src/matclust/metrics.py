@@ -124,8 +124,8 @@ def as_vector(values) -> np.ndarray:
 
 def block_rows(height: int) -> int:
     """Points per block of a (height, points) scratch array: the core's d
-    differences, the ranking's k values or outlier profiling's d residuals,
-    per point."""
+    differences, the ranking's k values or the d residuals that the SSE and
+    outlier profiling share (kmeans.residual_blocks), per point."""
     return max(1, _BLOCK_BYTES // (8 * max(1, height)))
 
 
@@ -153,9 +153,9 @@ def even_cuts(count: int, ranges: int) -> list[int]:
     return [count * i // parts for i in range(parts + 1)]
 
 
-def in_ranges(run, n: int, step: int, cut=None) -> list:
+def in_ranges(run, n: int, step: int, cut=None) -> None:
     """Call run(start, stop) over the ranges of a pass over n rows, which
-    form blocks of step rows, and return its results in range order.
+    form blocks of step rows.
 
     On the main thread, two or more blocks are split into one range per
     usable CPU, at most one range per block: even_cuts of the whole
@@ -176,21 +176,23 @@ def in_ranges(run, n: int, step: int, cut=None) -> list:
     else:
         cuts = cut(ranges)
     if len(cuts) < 3:
-        return [run(cuts[0], cuts[-1])]
+        run(cuts[0], cuts[-1])
+        return
     state = np.geterr()
 
-    def task(start: int, stop: int):
+    def task(start: int, stop: int) -> None:
         with np.errstate(**state):
-            return run(start, stop)
+            run(start, stop)
 
     futures = [
         _RANGE_POOL.submit(task, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])
     ]
     try:
-        first = run(cuts[0], cuts[1])
+        run(cuts[0], cuts[1])
     finally:
         wait(futures)
-    return [first, *(future.result() for future in futures)]
+    for future in futures:
+        future.result()
 
 
 # BLAS calls stay small: a product of k rows of d values with the columns

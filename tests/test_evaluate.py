@@ -15,7 +15,7 @@ from matclust.evaluate import (
     evaluate,
     flag_outliers,
 )
-from matclust.kmeans import ClusteringConfig, fit
+from matclust.kmeans import ClusteringConfig, ClusterModel, fit
 from matclust.metrics import METRIC_KINDS, DistanceSpec, pairwise_distances
 
 EUCLID = DistanceSpec("euclidean")
@@ -100,6 +100,20 @@ class TestFlagOutliers:
         model = fitted(data, k=3)
         flags = flag_outliers(data, model, OutlierPolicy(kind="quantile", q=1.0))
         assert not flags.any()
+
+    def test_integer_centroids_read_as_float64(self):
+        # a model a caller builds may hold integer centroids; their residuals
+        # are taken in float64, not cast back to the centroids' dtype
+        data = np.random.default_rng(13).random((40, 3)) * 10.0
+        labels = np.arange(40) % 2
+        whole = np.array([[2, 3, 4], [6, 7, 8]])
+        models = [
+            ClusterModel(ctr, labels, True, EUCLID, 0, (1.0,)) for ctr in (whole, whole.astype(float))
+        ]
+        policy = OutlierPolicy(kind="sigma", c=1.0)
+        flags = [flag_outliers(data, model, policy) for model in models]
+        assert flags[0].any()
+        assert np.array_equal(*flags)
 
     def test_sigma_monotone_in_c(self):
         data = np.random.default_rng(11).standard_normal((200, 2))
@@ -225,10 +239,13 @@ class TestFlagOutliers:
 
 class TestMemory:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
-    def test_fit_and_evaluate_allocate_less_than_the_data(self, spec):
+    def test_fit_and_evaluate_allocate_less_than_the_data(self, spec, monkeypatch):
         # fit holds column-major data as given, and neither the SSE nor the
         # outlier profile holds n x d residuals: numpy reports its arrays to
-        # tracemalloc, whose peak stays below one more copy of the data
+        # tracemalloc, whose peak stays below one more copy of the data.
+        # Each range of a split pass holds a block of its own (about 1 MB),
+        # so the passes split as on a 2-CPU host, whatever this host has.
+        monkeypatch.setattr(metrics, "usable_cpus", lambda: 2)
         n, d = 20_000, 25
         data = np.asfortranarray(np.random.default_rng(41).random((n, d)))
         config = ClusteringConfig(k=8, metric=spec, seed=1, max_iter=5)

@@ -388,6 +388,26 @@ class TestUpdateCentroids:
             )
             assert got.tobytes() == expected.tobytes(), trial
 
+    def test_row_major_data_is_not_copied(self, monkeypatch):
+        # each attribute is read as data[:, t]: a column at a time, never a
+        # column-major copy of the whole data; numpy reports its arrays to
+        # tracemalloc. Two ranges, as on a 2-CPU host, each copy a column.
+        monkeypatch.setattr(metrics, "usable_cpus", lambda: 2)
+        n, d, k = 20_000, 25, 8
+        rng = np.random.default_rng(53)
+        data = rng.random((n, d))
+        labels = np.arange(n) % k
+        prev = data[:k].copy()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = update_centroids(data, labels, prev, EUCLID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < data.nbytes
+        assert got.tobytes() == update_centroids(np.asfortranarray(data), labels, prev, EUCLID).tobytes()
+
     @pytest.mark.parametrize("spec", [DistanceSpec("cityblock"), DistanceSpec("minkowski", 3.0)], ids=str)
     def test_reseed_on_overflowing_distances_rejected(self, spec):
         a = -0.6e308 + 1e290 * np.random.default_rng(47).random((2, 4))
@@ -443,6 +463,33 @@ class TestSse:
     @pytest.mark.parametrize("d", [1, 7, 300])
     def test_bitwise_row_sums_around_a_block(self, d, blocks, extra):
         self.assert_row_sum_bits(self.spread(blocks * metrics.block_rows(d) + extra, d))
+
+    # rows of an input of 3 blocks and a row at d = 7: all of them, a range
+    # that starts and ends off a block boundary, one shorter than a block,
+    # and an empty one
+    STEP = metrics.block_rows(7)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 3 * STEP + 1), (STEP // 2, 2 * STEP + STEP // 4), (STEP + 10, STEP + 20), (9, 9)],
+        ids=["all", "off-boundary", "short", "empty"],
+    )
+    @pytest.mark.parametrize("layout", range(3), ids=["C", "F", "strided"])
+    def test_residual_blocks_tile_the_range(self, layout, start, stop):
+        step, n = self.STEP, 3 * self.STEP + 1
+        data = self.spread(n, 7)
+        ctr = self.spread(5, 7, seed=2)
+        labels = np.random.default_rng(3).integers(0, 5, n)
+        bounds = []
+        for rows, resid in kmeans.residual_blocks(layouts(data)[layout], ctr, labels, start, stop):
+            expected = np.ascontiguousarray((data[rows] - ctr[labels[rows]]).T)
+            assert resid.shape == expected.shape
+            assert resid.tobytes() == expected.tobytes(), rows
+            bounds.append((rows.start, rows.stop))
+        # the blocks tile [start, stop) in order, each but the last whole
+        assert bounds == [(b, min(b + step, stop)) for b in range(start, stop, step)]
+        if bounds:
+            assert bounds[-1][1] - bounds[-1][0] < step
 
     def test_empty_data_sums_to_zero(self):
         assert sse(np.zeros((0, 3)), np.zeros((1, 3)), np.zeros(0, dtype=int)) == 0.0
