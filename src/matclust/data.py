@@ -232,6 +232,20 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def check_real(name: str, value) -> float:
+    """value as a float, once checked to be a finite real number; a bool is
+    not one, and an int beyond float64's range counts as infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return real
+
+
 _CLASS_NAMES = ("polymer", "ceramic", "metal")
 
 

@@ -25,12 +25,11 @@ derives clustered and both percentages from them, so they cannot disagree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import csv_text, json_text
+from .data import check_real, csv_text, json_text
 from .kmeans import ClusterModel, _check_centroids, residual_blocks
 from .metrics import pairwise_distances
 
@@ -41,7 +40,8 @@ POLICY_QUANTILE = "quantile"
 
 @dataclass(frozen=True)
 class OutlierPolicy:
-    """An exclusion rule and its parameters, checked when built."""
+    """An exclusion rule and its parameters, checked when built; c and q
+    are stored as floats."""
 
     kind: str = POLICY_SIGMA
     c: float = 3.0
@@ -50,8 +50,8 @@ class OutlierPolicy:
     def __post_init__(self) -> None:
         if self.kind not in (POLICY_NONE, POLICY_SIGMA, POLICY_QUANTILE):
             raise ValueError(f"unknown outlier policy {self.kind!r}")
-        if not (math.isfinite(self.c) and math.isfinite(self.q)):
-            raise ValueError(f"outlier c and q must be finite, got c={self.c}, q={self.q}")
+        for name in ("c", "q"):
+            object.__setattr__(self, name, check_real(f"outlier {name}", getattr(self, name)))
         if self.kind == POLICY_SIGMA and not self.c > 0:
             raise ValueError(f"sigma policy requires c > 0, got {self.c}")
         if self.kind == POLICY_QUANTILE and not 0 < self.q <= 1:
@@ -122,10 +122,13 @@ def table_csv(k: int, reports) -> str:
 def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.ndarray:
     """Boolean flag per point; True marks a point excluded as an outlier.
 
-    Raises ValueError for a dataset of another length or width than the
-    model's, and, unless the policy is none, for a point whose distance to
-    its own centroid is not finite.
+    Raises ValueError for a policy that is not an OutlierPolicy, for a
+    dataset of another length or width than the model's, and, unless the
+    policy is none, for a point whose distance to its own centroid is not
+    finite.
     """
+    if not isinstance(policy, OutlierPolicy):
+        raise ValueError(f"a policy must be an OutlierPolicy, got {policy!r}")
     data = np.asarray(dataset, dtype=np.float64)
     labels = np.asarray(model.assignments)
     if data.shape[0] != labels.shape[0]:

@@ -20,9 +20,9 @@ from one pass, residual_blocks, a row block at a time: the SSE is the sum
 of their squares, and evaluate's outlier profile takes each point's
 distance to its own centroid from them. Every step gives bitwise the same
 result for data in any layout. Row-major data costs one column-major
-copy in fit, and one per call in assign when called on its own;
-seeding, the update step and the SSE read the data as given. No step
-holds any other n x d float64 temporary.
+copy in fit; seeding, assignment, the update step and the SSE read the
+data as given, so assign called on its own copies none of its input.
+No step holds any other n x d float64 temporary.
 
 Each number is stored once: a ClusterModel derives final_sse and
 iterations_run from its sse_per_iter and converged flag, and

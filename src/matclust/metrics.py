@@ -11,14 +11,16 @@ points' columns, a (d, m) array: per center a few numpy calls over m
 values each, with results written center-major as a (k, m) block. Those
 values are contiguous when the points are held column-major, as fit holds
 them; row-major points work too, more slowly. pairwise_distances and
-nearest_centers both use the core; a DistanceSpec checks itself when it
-is built, so neither checks it again. nearest_centers first ranks the
-centers cheaply: by a matrix product for the euclidean family, and by the
-core itself on a float32 copy of each row block for cityblock, chebyshev
-and minkowski. Only rows that its rounding bound leaves open get the
-float64 core. Each ranked (k, m) block yields every point's nearest and
-runner-up center from a few whole-block reductions over its k rows
-(_two_smallest), with no Python loop over the centers.
+nearest_centers both use the core and read the points as given, copying
+none of them whole; a DistanceSpec checks itself when it is built (its p
+by data.check_real), so neither checks it again. nearest_centers first
+ranks the centers cheaply: by a matrix product for the euclidean family,
+and by the core itself on a float32 copy of each row block for
+cityblock, chebyshev and minkowski. Only rows that its rounding bound
+leaves open get the float64 core, on a gathered copy of those rows.
+Each ranked (k, m) block yields every point's nearest and runner-up
+center from a few whole-block reductions over its k rows (_two_smallest),
+with no Python loop over the centers.
 
 This module alone decides when a pass splits (in_ranges). Called on the
 main thread, a pass over an input of two or more row blocks splits into
@@ -37,8 +39,6 @@ bitwise the same for any number of ranges.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -46,6 +46,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+
+from .data import check_real
 
 EUCLIDEAN = "euclidean"
 SQEUCLIDEAN = "sqeuclidean"
@@ -90,14 +92,7 @@ class DistanceSpec:
         if self.kind in _PARAMETRIC:
             if self.p is None:
                 raise ValueError(f"metric {self.kind!r} requires parameter p")
-            if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
-                raise ValueError(f"parameter p must be a real number, got {self.p!r}")
-            try:
-                p = float(self.p)
-            except OverflowError:  # an int beyond float64's range
-                p = math.inf
-            if not math.isfinite(p):
-                raise ValueError(f"parameter p must be finite, got {self.p!r}")
+            p = check_real("parameter p", self.p)
             if self.kind == DSD:
                 if p < 1.0:
                     raise ValueError(f"dsd parameter p below 1 (got {p})")
@@ -524,7 +519,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
     pts, ctr = _point_arrays(points, centers)
     if ctr.shape[0] == 0:
         raise ValueError("at least one centroid is required")
-    columns = np.asfortranarray(pts).T
+    columns = pts.T
     (n, d), k = pts.shape, ctr.shape[0]
     if row_norms is None:
         row_norms = certificate_norms(spec, pts)
@@ -545,7 +540,7 @@ def nearest_centers(spec: DistanceSpec, points, centers, row_norms=None) -> np.n
         step = block_rows(d)
 
         def rank(rows: slice) -> np.ndarray:
-            return _exact(spec, columns[:, rows].astype(np.float32), ctr32)
+            return _exact(spec, columns[:, rows].astype(np.float32, order="C"), ctr32)
 
     labels = np.empty(n, dtype=np.intp)
     certified = np.empty(n, dtype=bool)

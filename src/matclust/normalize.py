@@ -53,13 +53,16 @@ def fit(dataset) -> FeatureStats:
 
 
 def transform(stats: FeatureStats, v) -> np.ndarray:
-    """Rescale one vector (or a matrix of row vectors) using fitted stats.
+    """Rescale one vector (or a matrix of row vectors) using fitted stats;
+    input of any other shape raises ValueError.
 
     The result is column-major, the layout kmeans.fit holds its data in,
     so a fit of it makes no copy. A matrix of two or more row blocks is
     scaled in ranges of rows (metrics.in_ranges), each value on its own.
     """
     arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a 2-D matrix, got shape {arr.shape}")
     if arr.shape[-1] != stats.dimension:
         raise ValueError(
             f"dimension mismatch: input has {arr.shape[-1]} components, "

@@ -24,7 +24,6 @@ each cell runs once; only the largest instance size waits for the data.
 
 from __future__ import annotations
 
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,7 +55,10 @@ DEFAULT_COMPARISON_METRICS = (
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The grid, metrics x instance_sizes, and the settings of every cell."""
+    """The grid, metrics x instance_sizes, and the settings of every cell.
+
+    metrics and instance_sizes are stored as tuples, so the grid that was
+    checked is the grid that runs."""
 
     metrics: tuple[DistanceSpec, ...] = DEFAULT_COMPARISON_METRICS
     instance_sizes: tuple[int, ...] = DEFAULT_INSTANCE_SIZES
@@ -67,15 +69,15 @@ class SweepPlan:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("metrics", "instance_sizes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.metrics:
             raise ValueError("at least one metric is required")
         sizes = self.instance_sizes
         if not sizes:
             raise ValueError("at least one instance size is required")
-        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in sizes):
-            raise ValueError(f"instance sizes must be integers, got {sizes}")
-        if min(sizes) < 1:
-            raise ValueError(f"instance sizes must be >= 1, got {min(sizes)} in {sizes}")
+        for size in sizes:
+            check_count("instance size", size)
         if any(later < size for size, later in zip(sizes, sizes[1:])):
             raise ValueError(f"instance sizes must be non-decreasing, got {sizes}")
         size = _first_repeat(sizes)
@@ -90,6 +92,8 @@ class SweepPlan:
                 f"k ({self.k}) exceeds the smallest instance size ({min(sizes)})"
             )
         check_count("jobs", self.jobs)
+        if not isinstance(self.policy, OutlierPolicy):
+            raise ValueError(f"a policy must be an OutlierPolicy, got {self.policy!r}")
 
     @property
     def mode(self) -> str:

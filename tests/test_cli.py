@@ -337,7 +337,7 @@ class TestOutputs:
         out = tmp_path / "run"
         rc = main([command, "-i", str(dataset_csv), "-o", str(out), "--instances", *sizes])
         assert rc == 2
-        assert f"instance sizes must be >= 1, got {bad}" in capsys.readouterr().err
+        assert f"instance size must be >= 1, got {bad}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -392,7 +392,7 @@ class TestOutputs:
             (["fit", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
             (["sweep", "--jobs", "0"], "jobs must be >= 1, got 0"),
             (["compare", "--outlier-c", "nan", "--jobs", "1"],
-             "outlier c and q must be finite, got c=nan, q=0.99"),
+             "outlier c must be finite, got nan"),
             (["sweep", "--p-values", "1.5", "1.5"],
              "metric DistanceSpec(kind='dsd', p=1.5) is repeated in the grid"),
             (["compare", "--instances", "3", "3"], "instance size 3 is repeated in (3, 3)"),

@@ -221,14 +221,37 @@ class TestFlagOutliers:
             flag_outliers(data, model, OutlierPolicy(kind="quantile", q=1.5))
         with pytest.raises(ValueError, match="unknown outlier policy"):
             flag_outliers(data, model, OutlierPolicy(kind="zscore"))
+        for run in (flag_outliers, evaluate):
+            with pytest.raises(ValueError, match="a policy must be an OutlierPolicy, got 'sigma'"):
+                run(data, model, "sigma")
 
     @pytest.mark.parametrize("kind", ["none", "sigma", "quantile"])
+    @pytest.mark.parametrize("name", ["c", "q"])
     @pytest.mark.parametrize(
-        "c, q", [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (3.0, np.nan), (3.0, np.inf)]
+        "value, message",
+        [
+            (True, "must be a real number, got True"),
+            ("3", "must be a real number, got '3'"),
+            (None, "must be a real number, got None"),
+            (0.5 + 0j, "must be a real number, got (0.5+0j)"),
+            (10**400, f"must be finite, got {10**400}"),
+            (np.nan, "must be finite, got nan"),
+            (np.inf, "must be finite, got inf"),
+            (-np.inf, "must be finite, got -inf"),
+        ],
+        ids=["True", "'3'", "None", "0.5+0j", "10**400", "nan", "inf", "-inf"],
     )
-    def test_non_finite_c_or_q_rejected(self, kind, c, q):
-        with pytest.raises(ValueError, match="c and q must be finite"):
-            OutlierPolicy(kind=kind, c=c, q=q)
+    def test_non_finite_c_or_q_rejected(self, kind, name, value, message):
+        # by the rule of DistanceSpec's p, whatever the kind
+        with pytest.raises(ValueError) as raised:
+            OutlierPolicy(kind=kind, **{name: value})
+        assert str(raised.value) == f"outlier {name} {message}"
+
+    @pytest.mark.parametrize("value", [2, np.float64(2), np.float32(0.5), np.int64(1)], ids=repr)
+    def test_c_and_q_stored_as_float(self, value):
+        policy = OutlierPolicy(kind="none", c=value, q=value)
+        assert type(policy.c) is float and policy.c == float(value)
+        assert type(policy.q) is float and policy.q == float(value)
 
     def test_unknown_kind_rejected_built_or_replaced(self):
         with pytest.raises(ValueError, match="unknown outlier policy 'zscore'"):

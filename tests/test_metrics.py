@@ -101,16 +101,31 @@ class TestValidateSpec:
     def test_minkowski_p2_accepted(self):
         assert DistanceSpec("minkowski", 2).p == 2
 
-    @pytest.mark.parametrize("p", [2, np.float32(1.523), np.int64(3)], ids=repr)
-    def test_p_stored_as_float(self, p):
-        spec = DistanceSpec(DSD, p)
+    @pytest.mark.parametrize("kind", [DSD, "minkowski"])
+    @pytest.mark.parametrize("p", [2, np.float32(1.523), np.int64(3), np.float64(2)], ids=repr)
+    def test_p_stored_as_float(self, kind, p):
+        spec = DistanceSpec(kind, p)
         assert type(spec.p) is float and spec.p == float(p)
 
     @pytest.mark.parametrize("kind", [DSD, "minkowski"])
-    @pytest.mark.parametrize("p", [True, "2"], ids=repr)
-    def test_p_that_is_not_a_real_number_rejected_by_value(self, kind, p):
-        with pytest.raises(ValueError, match=rf"p must be a real number, got {p!r}$"):
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (True, "parameter p must be a real number, got True"),
+            ("2", "parameter p must be a real number, got '2'"),
+            (None, "metric {kind!r} requires parameter p"),
+            (0.5 + 0j, "parameter p must be a real number, got (0.5+0j)"),
+            (10**400, f"parameter p must be finite, got {10**400}"),
+            (math.nan, "parameter p must be finite, got nan"),
+            (math.inf, "parameter p must be finite, got inf"),
+            (-math.inf, "parameter p must be finite, got -inf"),
+        ],
+        ids=["True", "'2'", "None", "0.5+0j", "10**400", "nan", "inf", "-inf"],
+    )
+    def test_p_that_is_not_a_real_number_rejected_by_value(self, kind, p, message):
+        with pytest.raises(ValueError) as raised:
             DistanceSpec(kind, p)
+        assert str(raised.value) == message.format(kind=kind)
 
     def test_minkowski_p_below_one_rejected(self):
         with pytest.raises(ValueError, match="below 1"):

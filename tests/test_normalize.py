@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ class TestTransform:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             transform(self.STATS, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("v", [5.0, np.zeros((3, 4, 2))], ids=["scalar", "3-D"])
+    def test_neither_vector_nor_matrix_rejected_by_shape(self, v):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(v)}") + "$"):
+            transform(self.STATS, v)
 
 
 class TestFitTransform:

@@ -167,6 +167,25 @@ class TestDistancePasses:
             tracemalloc.stop()
         assert peak - start < pts.size * np.dtype(np.float32).itemsize
 
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_row_major_points_are_not_copied(self, spec, monkeypatch):
+        # the points are read as given, a row block at a time: numpy reports
+        # its arrays to tracemalloc, whose peak stays below one copy of the
+        # points (8 MB here), and the labels are those of column-major points
+        n, k = 40_000, 16
+        pts = np.random.default_rng(26).random((n, D))
+        ctr = pts[:k].copy()
+        set_cpus(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            labels = nearest_centers(spec, pts, ctr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < pts.nbytes
+        assert labels.tobytes() == nearest_centers(spec, np.asfortranarray(pts), ctr).tobytes()
+
     @pytest.mark.parametrize(
         "cpus, bad", [(1, (4000, 6000, 11000)), (2, (100, 4000, 6000)), (3, (6000, 11000, 11500))]
     )

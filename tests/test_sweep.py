@@ -56,7 +56,7 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("sizes, bad", [((-5, 60), -5), ((0,), 0), ((60, 0, 120), 0)])
     def test_size_below_one_named(self, small_data, sizes, bad):
-        with pytest.raises(ValueError, match=rf"instance sizes must be >= 1, got {bad} in"):
+        with pytest.raises(ValueError, match=rf"^instance size must be >= 1, got {bad}$"):
             run_sweep(small_plan(instance_sizes=sizes), small_data)
 
     def test_oversized_instance_rejected(self, small_data):
@@ -77,6 +77,7 @@ class TestPlanValidation:
             (dict(seed=-1), "seed must be an integer >= 0, got -1"),
             (dict(seed=True), "seed must be an integer >= 0, got True"),
             (dict(seed=2.0), "seed must be an integer >= 0, got 2.0"),
+            (dict(policy="sigma"), "a policy must be an OutlierPolicy, got 'sigma'"),
         ],
     )
     def test_fit_settings_rejected_before_any_cell(self, small_data, monkeypatch, bad, message):
@@ -99,15 +100,23 @@ class TestPlanValidation:
             run_sweep(plan, small_data)
         assert calls == []
 
+    def test_grid_stored_as_tuples(self):
+        metrics, sizes = list(dsd_grid(1.0, 1.5)), [60, 120]
+        plan = small_plan(metrics=metrics, instance_sizes=sizes)
+        metrics.append(metrics[0])
+        sizes.append(120)
+        assert plan.metrics == dsd_grid(1.0, 1.5)
+        assert plan.instance_sizes == (60, 120)
+        assert hash(plan) == hash(small_plan(metrics=dsd_grid(1.0, 1.5), instance_sizes=(60, 120)))
+
     @pytest.mark.parametrize(
         "bad, message",
         [
             (dict(jobs=0), "jobs must be >= 1, got 0"),
             (dict(jobs=1.5), "jobs must be an integer, got 1.5"),
             (dict(jobs=True), "jobs must be an integer, got True"),
-            (dict(instance_sizes=(60.0, 120.0)),
-             r"instance sizes must be integers, got \(60.0, 120.0\)"),
-            (dict(instance_sizes=(60, True)), "instance sizes must be integers"),
+            (dict(instance_sizes=(60.0, 120.0)), "instance size must be an integer, got 60.0"),
+            (dict(instance_sizes=(60, True)), "instance size must be an integer, got True"),
             (dict(instance_sizes=(60, 120, 120)),
              r"instance size 120 is repeated in \(60, 120, 120\)"),
             (dict(instance_sizes=(60, 60, 50)), r"must be non-decreasing, got \(60, 60, 50\)"),
