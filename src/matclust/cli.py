@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import (
     generate_synthetic,
@@ -104,12 +102,13 @@ def _manifest(args, extra: dict) -> dict:
     return doc
 
 
-def _load_normalized(args) -> tuple[np.ndarray, object]:
-    """The input's points, column-major and min-max normalized unless
-    --no-normalize, and their stats (None when not normalized)."""
+def _load_normalized(args) -> tuple:
+    """The input's points, min-max normalized unless --no-normalize, and
+    their stats (None when not normalized). Raw points stay as load_csv
+    returns them: fit makes the one column-major copy that it needs."""
     points = load_csv(args.input).points
     if args.no_normalize:
-        return np.asfortranarray(points), None
+        return points, None
     stats, normalized = fit_transform(points)
     return normalized, stats
 

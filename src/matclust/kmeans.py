@@ -11,9 +11,11 @@ k-means++ seeding keeps each point's distance to its nearest chosen
 centroid and folds in the n exact distances to each new centroid with
 np.minimum; it needs every exact distance, so it has no ranking. fit
 holds the data column-major, so each attribute's values are contiguous
-for the metrics module's exact core and for the centroid sums; data that
-is column-major already, as normalize.transform, the CLI and each sweep
-cell hand it over, is not copied. fit computes the row norms of assign's
+for the metrics module's exact core and for the centroid sums. fit is
+the one place that makes that copy: data that is column-major already, as
+normalize.transform returns it, is not copied, and the CLI's
+--no-normalize input and each sweep cell's prefix of the shuffled data
+come in row-major. fit computes the row norms of assign's
 certificate once: |x|^2 for the euclidean family, the l1 norm for the
 other kinds. The residuals x - c of each point and its centroid come
 from one pass, residual_blocks, a row block at a time: the SSE is the sum

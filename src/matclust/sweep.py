@@ -5,9 +5,10 @@ of dsd specs only is a p-sweep (Fig. 3), any other a metric comparison
 
 Instance subsets are deterministic prefixes of the dataset after one seeded
 shuffle at load time (recorded in the result), so the size-1000 instance is
-literally the first 1000 rows of the size-2000 instance. Each cell copies
-its prefix column-major once, within its timed span, and hands that one
-array to fit, which copies nothing, and to evaluate. Every cell reuses
+literally the first 1000 rows of the size-2000 instance. Each cell hands
+its prefix, a view of the shuffled data, to fit and to evaluate, and the
+sweep copies no cell's data itself: fit makes its one column-major copy
+and frees it before evaluate reads the view. Every cell reuses
 the same base seed and k-means++ seeding; differences between cells
 therefore reflect only the metric, the parameter p, and the instance size.
 
@@ -57,8 +58,8 @@ DEFAULT_COMPARISON_METRICS = (
 class SweepPlan:
     """The grid, metrics x instance_sizes, and the settings of every cell.
 
-    metrics and instance_sizes are stored as tuples, so the grid that was
-    checked is the grid that runs."""
+    metrics and instance_sizes must each be a list or tuple, and are stored
+    as tuples, so the grid that was checked is the grid that runs."""
 
     metrics: tuple[DistanceSpec, ...] = DEFAULT_COMPARISON_METRICS
     instance_sizes: tuple[int, ...] = DEFAULT_INSTANCE_SIZES
@@ -70,7 +71,10 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         for name in ("metrics", "instance_sizes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)):
+                raise ValueError(f"{name} must be a list or tuple, got {grid!r}")
+            object.__setattr__(self, name, tuple(grid))
         if not self.metrics:
             raise ValueError("at least one metric is required")
         sizes = self.instance_sizes
@@ -176,7 +180,7 @@ def shuffle_dataset(points, seed: int) -> np.ndarray:
 def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) -> SweepRow:
     config = ClusteringConfig(k=plan.k, metric=spec, seed=plan.seed, max_iter=plan.max_iter)
     start = time.perf_counter()
-    subset = np.asfortranarray(data[:size])
+    subset = data[:size]
     model = fit(subset, config)
     report = evaluate(subset, model, plan.policy)
     wall_ms = (time.perf_counter() - start) * 1000.0

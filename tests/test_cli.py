@@ -5,8 +5,11 @@ import pytest
 
 from matclust import cli, sweep
 from matclust.cli import main
+from matclust.data import load_csv
 from matclust.evaluate import evaluate
 from matclust.kmeans import fit
+from matclust.normalize import fit_transform
+from matclust.sweep import shuffle_dataset
 
 
 @pytest.fixture()
@@ -18,6 +21,26 @@ def dataset_csv(tmp_path):
     )
     assert rc == 0
     return path
+
+
+def record_cli_arrays(monkeypatch):
+    """Spy on the CLI's load_csv and fit_transform: the lists "raw" and
+    "normalized" receive the points that each returns."""
+    made = {"raw": [], "normalized": []}
+
+    def load_spy(path):
+        dataset = load_csv(path)
+        made["raw"].append(dataset.points)
+        return dataset
+
+    def fit_transform_spy(points):
+        stats, normalized = fit_transform(points)
+        made["normalized"].append(normalized)
+        return stats, normalized
+
+    monkeypatch.setattr(cli, "load_csv", load_spy)
+    monkeypatch.setattr(cli, "fit_transform", fit_transform_spy)
+    return made
 
 
 class TestGen:
@@ -134,8 +157,14 @@ class TestFit:
         assert rc == 0
         assert not (out / "stats.json").exists()
 
-    def test_fit_and_evaluate_get_one_column_major_array(self, dataset_csv, tmp_path, monkeypatch):
-        # kmeans.fit copies nothing, and outlier profiling reads by column
+    @pytest.mark.parametrize("flags", [[], ["--no-normalize"]], ids=["normalized", "raw"])
+    def test_fit_and_evaluate_get_the_array_the_cli_holds(
+        self, dataset_csv, tmp_path, monkeypatch, flags
+    ):
+        # fit alone makes a column-major copy: the CLI passes on load_csv's
+        # points under --no-normalize and transform's column-major output
+        # otherwise, as they are
+        expected = record_cli_arrays(monkeypatch)["raw" if flags else "normalized"]
         handed = []
 
         def spy(real):
@@ -146,12 +175,11 @@ class TestFit:
 
         monkeypatch.setattr(cli, "fit", spy(fit))
         monkeypatch.setattr(cli, "evaluate", spy(evaluate))
-        for flags in ([], ["--no-normalize"]):
-            handed.clear()
-            out = tmp_path / f"run{len(flags)}"
-            assert main(["fit", "-i", str(dataset_csv), "-o", str(out), *flags]) == 0
-            assert len(handed) == 2 and handed[0] is handed[1]
-            assert handed[0].flags.f_contiguous and handed[0].dtype == np.float64
+        assert main(["fit", "-i", str(dataset_csv), "-o", str(tmp_path / "run"), *flags]) == 0
+        assert len(handed) == 2 and handed[0] is handed[1]
+        assert len(expected) == 1 and handed[0] is expected[0]
+        assert handed[0].dtype == np.float64
+        assert handed[0].flags.f_contiguous or flags
 
 
 class TestSweep:
@@ -241,13 +269,22 @@ class TestSweepJson:
         assert [[row["metric"], row["p"]] for row in doc["rows"]] == grid
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-normalize"]], ids=["normalized", "raw"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_each_cell_fits_and_evaluates_one_column_major_array(
-    dataset_csv, tmp_path, monkeypatch, command, jobs
+def test_each_cell_fits_and_evaluates_a_view_of_the_shuffled_data(
+    dataset_csv, tmp_path, monkeypatch, command, jobs, flags
 ):
+    # the sweep shuffles the array the CLI holds once, and every cell hands
+    # fit and evaluate one prefix of it, not a copy of its own
+    expected = record_cli_arrays(monkeypatch)["raw" if flags else "normalized"]
+    shuffled = []  # the array each shuffle was given and the one it returned
     fitted = {}  # the model of each cell's fit and the array it was handed
     handed = []  # the arrays of each evaluation and of the fit of its model
+
+    def shuffle_spy(points, seed):
+        shuffled.append((points, shuffle_dataset(points, seed)))
+        return shuffled[-1][1]
 
     def fit_spy(points, config):
         model = fit(points, config)
@@ -260,13 +297,16 @@ def test_each_cell_fits_and_evaluates_one_column_major_array(
 
     monkeypatch.setattr(sweep, "fit", fit_spy)
     monkeypatch.setattr(sweep, "evaluate", evaluate_spy)
+    monkeypatch.setattr(sweep, "shuffle_dataset", shuffle_spy)
     out = tmp_path / "run"
     assert main([command, "-i", str(dataset_csv), "-o", str(out), "--instances", "100", "300",
-                 "--jobs", jobs]) == 0
+                 "--jobs", jobs, *flags]) == 0
     assert len(handed) == len(fitted) == 2 * (6 if command == "compare" else 10)
+    assert len(shuffled) == 1 and shuffled[0][0] is expected[0]
     for evaluated, fit_on in handed:
         assert evaluated is fit_on
-        assert evaluated.flags.f_contiguous and evaluated.shape[1] == 6
+        assert evaluated.shape[0] in (100, 300) and evaluated.shape[1] == 6
+        assert np.shares_memory(evaluated, shuffled[0][1])
 
 
 def _reject_constant(name):

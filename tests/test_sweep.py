@@ -124,9 +124,23 @@ class TestPlanValidation:
              r"metric DistanceSpec\(kind='dsd', p=1.5\) is repeated in the grid"),
             (dict(metrics=(DistanceSpec("euclidean"), *DEFAULT_COMPARISON_METRICS)),
              r"metric DistanceSpec\(kind='euclidean', p=None\) is repeated"),
+            # a grid must be a list or tuple: a string is not split into
+            # characters, nor a set put in hash order
+            (dict(metrics=DistanceSpec("euclidean")),
+             r"^metrics must be a list or tuple, got DistanceSpec\(kind='euclidean', p=None\)$"),
+            (dict(metrics=None), "^metrics must be a list or tuple, got None$"),
+            (dict(metrics=iter(DEFAULT_COMPARISON_METRICS)),
+             "^metrics must be a list or tuple, got <tuple_iterator object at "),
+            (dict(instance_sizes=5), "^instance_sizes must be a list or tuple, got 5$"),
+            (dict(instance_sizes="12"), "^instance_sizes must be a list or tuple, got '12'$"),
+            (dict(instance_sizes={60, 120}), r"^instance_sizes must be a list or tuple, got \{"),
+            (dict(instance_sizes=np.array([60, 120])),
+             r"^instance_sizes must be a list or tuple, got array\(\[ 60, 120\]\)$"),
         ],
         ids=["jobs 0", "jobs 1.5", "jobs True", "sizes 60.0 120.0", "size True",
-             "sizes 60 120 120", "sizes 60 60 50", "p 1.5 2 1.5", "euclidean twice"],
+             "sizes 60 120 120", "sizes 60 60 50", "p 1.5 2 1.5", "euclidean twice",
+             "one spec", "metrics None", "spec iterator", "one size", "sizes string",
+             "sizes set", "sizes array"],
     )
     def test_bad_jobs_or_sizes_rejected_built_or_replaced(self, bad, message):
         with pytest.raises(ValueError, match=message):
