@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_real, csv_text, json_text
-from .kmeans import ClusterModel, _check_centroids, residual_blocks
-from .metrics import pairwise_distances
+from .kmeans import ClusterModel, _check_assignments, residual_blocks
+from .metrics import _point_arrays, pairwise_distances
 
 POLICY_NONE = "none"
 POLICY_SIGMA = "sigma"
@@ -123,20 +123,14 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     """Boolean flag per point; True marks a point excluded as an outlier.
 
     Raises ValueError for a policy that is not an OutlierPolicy, for a
-    dataset of another length or width than the model's, and, unless the
-    policy is none, for a point whose distance to its own centroid is not
-    finite.
+    dataset that does not fit the model's centroids (metrics._point_arrays)
+    or its labels (kmeans._check_assignments), and, unless the policy is
+    none, for a point whose distance to its own centroid is not finite.
     """
     if not isinstance(policy, OutlierPolicy):
         raise ValueError(f"a policy must be an OutlierPolicy, got {policy!r}")
-    data = np.asarray(dataset, dtype=np.float64)
-    labels = np.asarray(model.assignments)
-    if data.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"the dataset has {data.shape[0]} rows but the model assigns "
-            f"{labels.shape[0]} points"
-        )
-    _check_centroids(data, model.centroids)
+    data, centroids = _point_arrays(dataset, model.centroids)
+    labels = _check_assignments(model.assignments, data.shape[0], centroids.shape[0])
     flags = np.zeros(data.shape[0], dtype=bool)
     if policy.kind == POLICY_NONE:
         return flags
@@ -148,7 +142,7 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
     # a distance that is not finite, or the overflow that led to it, is
     # rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, resid in residual_blocks(data, model.centroids, labels, 0, data.shape[0]):
+        for rows, resid in residual_blocks(data, centroids, labels, 0, data.shape[0]):
             own[rows] = pairwise_distances(model.metric, resid.T, origin)[:, 0]
     bad = ~np.isfinite(own)
     if bad.any():
@@ -156,7 +150,7 @@ def flag_outliers(dataset, model: ClusterModel, policy: OutlierPolicy) -> np.nda
             f"point {int(np.argmax(bad))} has no finite distance to its centroid: "
             "the data is not finite, or the distance overflows float64; normalize the data"
         )
-    for j in range(model.centroids.shape[0]):
+    for j in range(centroids.shape[0]):
         members = labels == j
         if not members.any():
             continue

@@ -52,6 +52,7 @@ import numpy as np
 from .data import check_count, check_seed, json_text
 from .metrics import (
     DistanceSpec,
+    _point_arrays,
     _row_sum,
     block_rows,
     certificate_norms,
@@ -68,8 +69,8 @@ DEFAULT_SEED = 42
 class ClusteringConfig:
     """The settings of one fit, checked when built. A fit starts from
     initial_centroids when given (k finite rows, kept as a read-only float64
-    copy; fit checks that they are as wide as the data), else from k-means++
-    seeding under the metric."""
+    copy; fit checks them against the data), else from k-means++ seeding
+    under the metric."""
 
     k: int
     metric: DistanceSpec = DistanceSpec("euclidean")
@@ -78,7 +79,11 @@ class ClusteringConfig:
     initial_centroids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        check_settings(self.k, (self.metric,), self.max_iter, self.seed)
+        check_count("k", self.k)
+        if not isinstance(self.metric, DistanceSpec):
+            raise ValueError(f"a metric must be a DistanceSpec, got {self.metric!r}")
+        check_count("max_iter", self.max_iter)
+        check_seed(self.seed)
         if self.initial_centroids is None:
             return
         ctr = np.array(self.initial_centroids, dtype=np.float64)
@@ -147,18 +152,6 @@ class ClusterModel:
         )
 
 
-def check_settings(k, metrics, max_iter, seed) -> None:
-    """Reject a k, metric, max_iter or seed that no fit can run
-    with, whatever the data; ClusteringConfig (with its one metric) and
-    SweepPlan (with its grid) call it when built."""
-    check_count("k", k)
-    for metric in metrics:
-        if not isinstance(metric, DistanceSpec):
-            raise ValueError(f"a metric must be a DistanceSpec, got {metric!r}")
-    check_count("max_iter", max_iter)
-    check_seed(seed)
-
-
 def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
     """The k starting centroids of a fit: a float64 copy of
     config.initial_centroids when given, else k-means++ seeding."""
@@ -168,13 +161,7 @@ def init_centroids(dataset, config: ClusteringConfig) -> np.ndarray:
     if config.k > data.shape[0]:
         raise ValueError(f"k ({config.k}) exceeds dataset size ({data.shape[0]})")
     if config.initial_centroids is not None:
-        ctr = config.initial_centroids.copy()
-        if ctr.shape[1] != data.shape[1]:
-            raise ValueError(
-                f"initial_centroids have shape {ctr.shape} but the data has "
-                f"shape {data.shape}: their widths differ"
-            )
-        return ctr
+        return _point_arrays(data, config.initial_centroids)[1].copy()
 
     # k-means++: D^2 weighting under the configured metric, by each point's
     # distance to its nearest chosen centroid so far
@@ -231,15 +218,6 @@ def _check_assignments(assignments, n: int, k: int) -> np.ndarray:
     return labels
 
 
-def _check_centroids(data: np.ndarray, centroids: np.ndarray) -> None:
-    """Reject centroids that are not a 2-D array as wide as the 2-D data."""
-    if data.ndim != 2 or centroids.ndim != 2 or centroids.shape[1] != data.shape[1]:
-        raise ValueError(
-            f"centroids of shape {centroids.shape} do not fit data of shape {data.shape}: "
-            "both must be 2-D and as wide"
-        )
-
-
 def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec) -> np.ndarray:
     """Recompute each of the k = len(prev_centroids) centroids as the mean of
     its assigned points.
@@ -248,11 +226,10 @@ def update_centroids(dataset, assignments, prev_centroids, metric: DistanceSpec)
     independent of any caller-side partitioning. An empty cluster is
     re-seeded with the point farthest (under metric) from its centroid in
     prev_centroids; a ValueError asks for normalized data when those
-    distances overflow.
+    distances overflow. The data and prev_centroids must fit
+    (metrics._point_arrays) and the labels the data and k (_check_assignments).
     """
-    data = np.asarray(dataset, dtype=np.float64)
-    prev = np.asarray(prev_centroids, dtype=np.float64)
-    _check_centroids(data, prev)
+    data, prev = _point_arrays(dataset, prev_centroids)
     k = prev.shape[0]
     labels = _check_assignments(assignments, data.shape[0], k)
 
@@ -324,9 +301,7 @@ def sse(dataset, centroids, assignments) -> float:
     row-major X, and np.sum of the core's own sqeuclidean distances to each
     point's centroid.
     """
-    data = np.asarray(dataset, dtype=np.float64)
-    ctr = np.asarray(centroids, dtype=np.float64)
-    _check_centroids(data, ctr)
+    data, ctr = _point_arrays(dataset, centroids)
     labels = _check_assignments(assignments, data.shape[0], ctr.shape[0])
     if data.size == 0:
         return 0.0
@@ -341,6 +316,19 @@ def sse(dataset, centroids, assignments) -> float:
     return float(np.sum(squared))
 
 
+def _check_dataset(data: np.ndarray) -> None:
+    """Reject data that is not a non-empty 2-D array or has a NaN or
+    infinite entry, naming its first such row."""
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ValueError("dataset must be a non-empty 2-D array")
+    step = block_rows(data.shape[1])  # no n x d temporary
+    for start in range(0, data.shape[0], step):
+        finite = np.isfinite(data[start : start + step]).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
+
+
 def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     """Run Lloyd iterations until an assignment repeats the previous one, or
     for max_iter assignments.
@@ -351,15 +339,7 @@ def fit(dataset, config: ClusteringConfig) -> ClusterModel:
     iterations_run - 1 of them and a capped one iterations_run.
     """
     data = np.asfortranarray(dataset, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("dataset must be a non-empty 2-D array")
-    step = block_rows(data.shape[1])  # no n x d temporary
-    for start in range(0, data.shape[0], step):
-        finite = np.isfinite(data[start : start + step]).all(axis=1)
-        if not finite.all():
-            row = start + int(np.argmin(finite))
-            raise ValueError(f"row {row} of the dataset has a NaN or infinite entry")
-
+    _check_dataset(data)
     row_norms = certificate_norms(config.metric, data)
     centroids = init_centroids(data, config)
     labels = None

@@ -106,12 +106,10 @@ class DistanceSpec:
 
 
 def as_vector(values) -> np.ndarray:
-    """Coerce to a 1-D float64 vector, rejecting NaN/inf and zero length."""
+    """Coerce to a 1-D float64 vector, rejecting NaN/inf."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("zero-dimension vectors are not allowed")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite (no NaN or infinities)")
     return v
@@ -297,27 +295,19 @@ def _exact(spec: DistanceSpec, columns: np.ndarray, centers: np.ndarray) -> np.n
 
 def distance(spec: DistanceSpec, x, y) -> float:
     """Distance between two equal-dimension vectors under the given spec."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.shape[0] != yv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: x has {xv.shape[0]} components, y has {yv.shape[0]}"
-        )
-    return float(pairwise_distances(spec, xv[None, :], yv[None, :])[0, 0])
+    return float(pairwise_distances(spec, as_vector(x)[None, :], as_vector(y)[None, :])[0, 0])
 
 
 def _point_arrays(points, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce points and centers to float64 2-D arrays of one dimension."""
+    """points and centers as float64 arrays, checked to be 2-D and of one
+    width of at least one column, with any number of rows: the one check of
+    points against centroids, which every function that takes both calls."""
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, ctr.shape[1] if ctr.ndim == 2 else 0)
-    if pts.ndim != 2 or ctr.ndim != 2:
-        raise ValueError("points and centers must be 2-D arrays of vectors")
-    if pts.shape[0] > 0 and pts.shape[1] != ctr.shape[1]:
+    if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
         raise ValueError(
-            f"dimension mismatch: points have {pts.shape[1]} components, "
-            f"centers have {ctr.shape[1]}"
+            f"centroids of shape {ctr.shape} do not fit data of shape {pts.shape}: "
+            "both must be 2-D and as wide"
         )
     if ctr.shape[1] == 0:
         raise ValueError("zero-dimension vectors are not allowed")

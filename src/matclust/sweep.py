@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import check_count, csv_text, json_text, save_report
 from .evaluate import EvaluationReport, OutlierPolicy, evaluate, table_csv
-from .kmeans import DEFAULT_SEED, ClusteringConfig, check_settings, fit
+from .kmeans import DEFAULT_SEED, ClusteringConfig, _check_dataset, fit
 from .metrics import DSD, MINKOWSKI, DistanceSpec
 
 # p grid and instance sizes used by default
@@ -87,7 +87,8 @@ class SweepPlan:
         size = _first_repeat(sizes)
         if size is not None:
             raise ValueError(f"instance size {size} is repeated in {sizes}")
-        check_settings(self.k, self.metrics, self.max_iter, self.seed)
+        for spec in self.metrics:
+            ClusteringConfig(self.k, metric=spec, seed=self.seed, max_iter=self.max_iter)
         spec = _first_repeat(self.metrics)
         if spec is not None:
             raise ValueError(f"metric {spec!r} is repeated in the grid")
@@ -188,10 +189,11 @@ def _run_cell(data: np.ndarray, plan: SweepPlan, spec: DistanceSpec, size: int) 
 
 
 def run_sweep(plan: SweepPlan, points) -> SweepResult:
-    """Check the largest instance size against the points, shuffle them
-    once and fit every (spec, size) cell; rows follow plan.metrics, each
-    over every instance size."""
+    """Check every row and the largest instance size against the points,
+    shuffle them once and fit every (spec, size) cell; rows follow
+    plan.metrics, each over every instance size."""
     data = np.asarray(points, dtype=np.float64)
+    _check_dataset(data)
     if plan.instance_sizes[-1] > data.shape[0]:
         raise ValueError(
             f"largest instance size ({plan.instance_sizes[-1]}) exceeds dataset "

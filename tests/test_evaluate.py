@@ -325,7 +325,10 @@ class TestEvaluate:
     def test_dataset_of_another_length_rejected(self, rows, kind):
         rng = np.random.default_rng(31)
         model = fitted(rng.random((50, 2)), k=2)
-        match = rf"the dataset has {rows} rows but the model assigns 50 points"
+        match = (
+            rf"one assignment per point is required: {rows} points, "
+            r"assignments of shape \(50,\)"
+        )
         for run in (evaluate, flag_outliers):
             with pytest.raises(ValueError, match=match):
                 run(rng.random((rows, 2)), model, OutlierPolicy(kind=kind))

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matclust import kmeans, metrics
+from matclust.evaluate import OutlierPolicy, evaluate, flag_outliers
 from matclust.kmeans import (
     DEFAULT_SEED,
     ClusteringConfig,
+    ClusterModel,
     assign,
     fit,
     init_centroids,
@@ -23,6 +25,7 @@ from matclust.metrics import (
     METRIC_KINDS,
     DistanceSpec,
     certificate_norms,
+    distance,
     nearest_centers,
     pairwise_distances,
 )
@@ -159,7 +162,7 @@ class TestInitCentroids:
 
     def test_given_rows_of_the_wrong_width_rejected_at_fit(self):
         cfg = ClusteringConfig(k=2, metric=EUCLID, initial_centroids=np.ones((2, 3)))
-        message = r"shape \(2, 3\) but the data has shape \(4, 1\)"
+        message = r"centroids of shape \(2, 3\) do not fit data of shape \(4, 1\)"
         for call in (fit, init_centroids):
             with pytest.raises(ValueError, match=message):
                 call(BLOBS_1D, cfg)
@@ -504,6 +507,57 @@ class TestSse:
         # 1-column data used to broadcast against 2-column centroids
         with pytest.raises(ValueError, match="do not fit data of shape"):
             sse(np.array([[0.0], [1.0], [9.0]]), centroids, [0, 1, 1])
+
+
+def misfit_model(centroids) -> ClusterModel:
+    return ClusterModel(
+        centroids=centroids,
+        assignments=np.array([0, 1, 1]),
+        converged=True,
+        metric=EUCLID,
+        seed=0,
+        sse_per_iter=(0.0,),
+    )
+
+
+# every entry point that takes points and centroids, as call(data, centroids).
+# ARRAY_CALLS take centroids of any shape; a ClusteringConfig or ClusterModel
+# holds only 2-D ones and distance takes vectors, so the rest meet only the
+# 3-wide misfit
+ARRAY_CALLS = {
+    "pairwise_distances": lambda x, c: pairwise_distances(EUCLID, x, c),
+    "nearest_centers": lambda x, c: nearest_centers(EUCLID, x, c),
+    "assign": lambda x, c: assign(x, c, EUCLID),
+    "update_centroids": lambda x, c: update_centroids(x, [0, 1, 1], c, EUCLID),
+    "sse": lambda x, c: sse(x, c, [0, 1, 1]),
+}
+MISFIT_CALLS = {
+    **ARRAY_CALLS,
+    "distance": lambda x, c: distance(EUCLID, x[0], c[0]),
+    "init_centroids": lambda x, c: init_centroids(x, ClusteringConfig(k=2, initial_centroids=c)),
+    "fit": lambda x, c: fit(x, ClusteringConfig(k=2, initial_centroids=c)),
+    "flag_outliers": lambda x, c: flag_outliers(x, misfit_model(c), OutlierPolicy()),
+    "evaluate": lambda x, c: evaluate(x, misfit_model(c), OutlierPolicy()),
+}
+MISFITS = {
+    "3 wide": np.array([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0]]),
+    "1-D": np.array([0.0, 9.0]),
+}
+
+
+class TestOneMisfitRule:
+    @pytest.mark.parametrize(
+        "call, misfit",
+        [(name, "3 wide") for name in MISFIT_CALLS] + [(name, "1-D") for name in ARRAY_CALLS],
+    )
+    def test_every_entry_point_raises_the_one_message(self, call, misfit):
+        data = np.array([[0.0, 0.0], [1.0, 1.0], [9.0, 9.0]])
+        message = (
+            r"^centroids of shape \([\d, ]+\) do not fit data of shape \(\d, 2\): "
+            r"both must be 2-D and as wide$"
+        )
+        with pytest.raises(ValueError, match=message):
+            MISFIT_CALLS[call](data, MISFITS[misfit])
 
 
 class TestAssignmentChecks:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matclust import metrics
+from matclust import kmeans, metrics
 from matclust.metrics import (
     DSD,
     METRIC_KINDS,
@@ -244,9 +244,29 @@ class TestPairwise:
             for j in range(ctr.shape[0]):
                 assert m[i, j] == distance(spec, pts[i], ctr[j])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            pairwise_distances(DistanceSpec("euclidean"), [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize(
+        "call",
+        [pairwise_distances, nearest_centers, lambda spec, x, c: kmeans.assign(x, c, spec)],
+        ids=["pairwise_distances", "nearest_centers", "assign"],
+    )
+    @pytest.mark.parametrize(
+        "points, centers",
+        [
+            ([[1.0, 2.0]], [[1.0, 2.0, 3.0]]),
+            # zero-width points and zero points of another width were
+            # reshaped to the centers' width: 0 rows or labels, not 5 or a misfit
+            (np.zeros((5, 0)), np.zeros((2, 3))),
+            (np.zeros((0, 5)), np.zeros((2, 3))),
+        ],
+        ids=["2 against 3 wide", "5 points 0 wide", "0 points 5 wide"],
+    )
+    def test_dimension_mismatch(self, call, points, centers):
+        message = (
+            rf"centroids of shape \(\d, 3\) do not fit data of shape "
+            rf"{re.escape(str(np.shape(points)))}: both must be 2-D and as wide"
+        )
+        with pytest.raises(ValueError, match=message):
+            call(DistanceSpec("euclidean"), points, centers)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 7.0])
     def test_minkowski_equals_out_of_place_reference(self, p):

@@ -63,6 +63,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="exceeds dataset size"):
             run_sweep(small_plan(instance_sizes=(60, 500)), small_data)
 
+    def test_non_finite_entry_named_by_its_row_before_the_shuffle(self):
+        data = np.random.default_rng(0).random((50, 3))
+        data[7, 1] = np.nan
+        plan = SweepPlan(metrics=(DistanceSpec("euclidean"),), instance_sizes=(50,), k=2)
+        with pytest.raises(ValueError, match="^row 7 of the dataset has a NaN or infinite entry$"):
+            run_sweep(plan, data)
+
+    @pytest.mark.parametrize("points", [5.0, np.zeros((0, 3))], ids=["scalar", "no rows"])
+    def test_points_that_are_not_a_non_empty_2d_array_rejected(self, points):
+        # a scalar raised IndexError from the instance size check
+        plan = SweepPlan(metrics=(DistanceSpec("euclidean"),), instance_sizes=(1,), k=1)
+        with pytest.raises(ValueError, match="^dataset must be a non-empty 2-D array$"):
+            run_sweep(plan, points)
+
     def test_out_of_range_p_rejected(self, small_data):
         with pytest.raises(ValueError, match="below 1"):
             run_sweep(small_plan(metrics=dsd_grid(0.5)), small_data)
